@@ -1,19 +1,14 @@
-"""Hot numeric kernels with dual implementations.
+"""Hot numeric kernels in numpy.
 
-Each kernel exists in two forms: an explicit-loop version meant for numba's
-``@njit`` and a pure-numpy version that serves as the fallback.  Which form is
-bound to the public name depends on :mod:`qorder.accel` (numba present and not
-disabled by ``QO_NO_NUMBA``).  The simplex kernel is a single function whose
-row operations are numpy slice arithmetic, so the same source runs tolerably
-interpreted and fast compiled.  ``bench/benchmark.py`` times the forms against
-each other.
+``canonical_masks`` and ``subset_leq_matrix`` are the bitmask kernels behind
+set-class enumeration and the class subset order; ``simplex_solve`` is the
+pivot loop behind every LP.  The tests check the simplex against a scalar
+loop form of the same pivot sequence (``tests/reference_simplex.py``).
 
 Simplex status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit.
 """
 
 import numpy as np
-
-from . import accel
 
 SIMPLEX_OPTIMAL = 0
 SIMPLEX_INFEASIBLE = 1
@@ -28,22 +23,8 @@ _FEAS_TOL = 1e-7
 # ---------------------------------------------------------------------------
 
 
-def _canonical_masks_loop(n):
-    # minimum over the n cyclic bit-rotations, for every mask < 2**n
-    full = (1 << n) - 1
-    count = 1 << n
-    out = np.empty(count, np.int64)
-    for m in range(count):
-        best = m
-        for t in range(1, n):
-            r = ((m << t) | (m >> (n - t))) & full
-            if r < best:
-                best = r
-        out[m] = best
-    return out
-
-
-def _canonical_masks_numpy(n):
+def canonical_masks(n):
+    """Minimum over the n cyclic bit-rotations, for every mask < 2**n."""
     masks = np.arange(1 << n, dtype=np.int64)
     full = np.int64((1 << n) - 1)
     best = masks.copy()
@@ -53,22 +34,8 @@ def _canonical_masks_numpy(n):
     return best
 
 
-def _subset_leq_loop(masks, n):
-    # out[i, j]: some rotation of masks[i] is a bit-subset of masks[j]
-    full = (1 << n) - 1
-    count = masks.shape[0]
-    out = np.zeros((count, count), np.bool_)
-    for i in range(count):
-        m = masks[i]
-        for t in range(n):
-            r = ((m << t) | (m >> (n - t))) & full
-            for j in range(count):
-                if not out[i, j] and (r & masks[j]) == r:
-                    out[i, j] = True
-    return out
-
-
-def _subset_leq_numpy(masks, n):
+def subset_leq_matrix(masks, n):
+    """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j]."""
     count = masks.shape[0]
     full = np.int64((1 << n) - 1)
     rots = np.empty((n, count), np.int64)
@@ -83,117 +50,85 @@ def _subset_leq_numpy(masks, n):
 # ---------------------------------------------------------------------------
 
 
-def _simplex_solve(a, b, c, tol, max_iter):
+def _pivot(t, r, col):
+    """Make column ``col`` the unit vector with its 1 in row ``r``.
+
+    Only rows with a nonzero entry in ``col`` are updated; the unit column is
+    written exactly so that basic reduced costs stay 0.
+    """
+    f = t[:, col].copy()
+    row = t[r] / f[r]
+    t[r] = row
+    f[r] = 0.0
+    rows = f.nonzero()[0]
+    t[rows] -= f[rows, None] * row
+    t[:, col] = 0.0
+    t[r, col] = 1.0
+
+
+def simplex_solve(a, b, c, tol, max_iter):
     """Minimise c.v subject to a.v = b (b >= 0), v >= 0.
 
     Slack/surplus columns must already be part of ``a``; one artificial
-    variable per row is appended here and driven out by the first phase.
-    Bland's rule (lowest eligible entering column; ratio ties broken by the
-    lowest basis variable) guarantees termination.  Returns (status, v).
+    variable per row (basis index n + i for row i) starts basic and is driven
+    out by the first phase.  Artificial columns never enter and no pivot
+    decision reads them, so the tableau leaves them out.  Bland's rule
+    (lowest eligible entering column; ratio ties broken by the lowest basis
+    variable) guarantees termination.  Returns (status, v).
     """
     m, n = a.shape
-    width = n + m + 1
-    t = np.zeros((m + 1, width))
-    basis = np.empty(m, np.int64)
+    t = np.zeros((m + 1, n + 1))
+    t[:m, :n] = a
+    t[:m, n] = b
+    basis = np.arange(n, n + m)
+    # phase-1 objective (sum of artificials) in reduced form, subtracted one
+    # row at a time in row order
     for i in range(m):
-        for j in range(n):
-            t[i, j] = a[i, j]
-        t[i, n + i] = 1.0
-        t[i, width - 1] = b[i]
-        basis[i] = n + i
-    # phase-1 objective (sum of artificials) in reduced form
-    for i in range(m):
-        t[m, :] -= t[i, :]
+        t[m] -= t[i]
+    body = t[:m]
+    rhs = t[:m, n]
+    costs = t[m, :n]
 
     iters = 0
     for phase in range(2):
         if phase == 1:
-            if -t[m, width - 1] > _FEAS_TOL:
+            if -t[m, n] > _FEAS_TOL:
                 return SIMPLEX_INFEASIBLE, np.zeros(n)
             # drive leftover artificials out of the basis; zero redundant rows
-            for r in range(m):
-                if basis[r] >= n:
-                    found = -1
-                    for j in range(n):
-                        if t[r, j] > tol or t[r, j] < -tol:
-                            found = j
-                            break
-                    if found >= 0:
-                        piv = t[r, found]
-                        t[r, :] /= piv
-                        for i in range(m + 1):
-                            if i != r:
-                                f = t[i, found]
-                                if f != 0.0:
-                                    t[i, :] -= f * t[r, :]
-                        for i in range(m + 1):
-                            t[i, found] = 0.0
-                        t[r, found] = 1.0
-                        basis[r] = found
-                    else:
-                        t[r, :] = 0.0
+            for r in (basis >= n).nonzero()[0]:
+                found = (np.abs(t[r, :n]) > tol).nonzero()[0]
+                if len(found):
+                    _pivot(t, r, found[0])
+                    basis[r] = found[0]
+                else:
+                    t[r] = 0.0
             # rebuild the objective row from the real costs
-            t[m, :] = 0.0
-            for j in range(n):
-                t[m, j] = c[j]
+            t[m] = 0.0
+            t[m, :n] = c
             for r in range(m):
                 jb = basis[r]
                 if jb < n and c[jb] != 0.0:
-                    t[m, :] -= c[jb] * t[r, :]
+                    t[m] -= c[jb] * t[r]
 
         while True:
             if iters >= max_iter:
                 return SIMPLEX_ITERATION_LIMIT, np.zeros(n)
-            enter = -1
-            for j in range(n):  # artificial columns never re-enter
-                if t[m, j] < -tol:
-                    enter = j
-                    break
-            if enter < 0:
+            eligible = (costs < -tol).nonzero()[0]
+            if not len(eligible):
                 break
-            leave = -1
-            best_ratio = 0.0
-            best_var = -1
-            for i in range(m):
-                coef = t[i, enter]
-                if coef > tol:
-                    ratio = t[i, width - 1] / coef
-                    if leave < 0 or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < best_var
-                    ):
-                        leave = i
-                        best_ratio = ratio
-                        best_var = basis[i]
-            if leave < 0:
+            enter = eligible[0]
+            col = body[:, enter]
+            rows = (col > tol).nonzero()[0]
+            if not len(rows):
                 return SIMPLEX_UNBOUNDED, np.zeros(n)
-            piv = t[leave, enter]
-            t[leave, :] /= piv
-            for i in range(m + 1):
-                if i != leave:
-                    f = t[i, enter]
-                    if f != 0.0:
-                        t[i, :] -= f * t[leave, :]
-            # write the unit column exactly so basic reduced costs stay 0
-            for i in range(m + 1):
-                t[i, enter] = 0.0
-            t[leave, enter] = 1.0
+            ratios = rhs[rows] / col[rows]
+            ties = rows[ratios == ratios.min()]
+            leave = ties[basis[ties].argmin()]
+            _pivot(t, leave, enter)
             basis[leave] = enter
             iters += 1
 
     v = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            v[basis[r]] = t[r, width - 1]
+    real = basis < n
+    v[basis[real]] = rhs[real]
     return SIMPLEX_OPTIMAL, v
-
-
-# public bindings -----------------------------------------------------------
-
-if accel.ENABLED:
-    canonical_masks = accel.njit(_canonical_masks_loop)
-    subset_leq_matrix = accel.njit(_subset_leq_loop)
-    simplex_solve = accel.njit(_simplex_solve)
-else:
-    canonical_masks = _canonical_masks_numpy
-    subset_leq_matrix = _subset_leq_numpy
-    simplex_solve = _simplex_solve

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import _kernels
 from .orders import Comparison
-from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
+from .simplex import (
+    LPResult,
+    LPStandardForm,
+    LPStatus,
+    equality_form,
+    iteration_budget,
+    lp_solve,
+)
 from .timbre import TimbralVector, brightness_compare, infimum, suffix_profile
 
 STAGE_TWO_SLACK = 1e-9
@@ -148,30 +155,27 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     if stage_one.status is not DesignStatus.OPTIMAL:
         return stage_one
 
+    # the bi-objective LP over (x, u, w) plus a budget row on u, costing only w
+    lp = to_lp(DesignProblem(problem.target, problem.bound, Variant.BI_OBJECTIVE))
     n = problem.n
-    p = problem.target.power
-    b = problem.bound.power
-    n_vars = 3 * n
-    blocks = [
-        _abs_split_rows(n, n_vars, 0, n),
-        _abs_split_rows(n, n_vars, 0, 2 * n),
-        _suffix_rows(n, n_vars),
-    ]
-    rhs = [p, -p, b, -b, suffix_profile(problem.bound)]
-    budget = np.zeros((1, n_vars))
+    budget = np.zeros((1, 3 * n))
     budget[0, n : 2 * n] = 1.0
-    blocks.append(budget)
-    rhs.append(np.array([stage_one.objective + STAGE_TWO_SLACK]))
-    a_eq = np.zeros((1, n_vars))
-    a_eq[0, :n] = 1.0
-    c = np.zeros(n_vars)
+    c = np.zeros(3 * n)
     c[2 * n :] = 1.0
-    lp = LPStandardForm(c, np.vstack(blocks), np.concatenate(rhs), a_eq, np.array([1.0]))
+    lp = LPStandardForm(
+        c,
+        np.vstack([lp.a_ub, budget]),
+        np.concatenate([lp.b_ub, [stage_one.objective + STAGE_TWO_SLACK]]),
+        lp.a_eq,
+        lp.b_eq,
+    )
     result = lp_solve(lp)
     if result.status is not LPStatus.OPTIMAL:
         return DesignSolution(None, float("nan"), _DESIGN_STATUS[result.status])
     x = TimbralVector(result.x[:n])
-    return DesignSolution(x, float(np.abs(x.power - p).sum()), DesignStatus.OPTIMAL)
+    return DesignSolution(
+        x, float(np.abs(x.power - problem.target.power).sum()), DesignStatus.OPTIMAL
+    )
 
 
 def _simplex_grid(n: int, steps: int) -> np.ndarray:
@@ -258,31 +262,17 @@ class SearchReport:
 
 @lru_cache(maxsize=None)
 def _search_system(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pre-normalized equality system for the closest-to-target LP.
+    """Equality system (a, c, max_iter) of the closest-to-target LP.
 
-    Rows: x - u + s = p; x + u - s' = p; suffix rows + s'' = Hb; sum x = 1.
-    All right-hand sides are nonnegative for probability-vector data, so the
-    matrix never needs per-instance sign flips.
+    It is ``to_lp`` of one instance with a positive target, in the form
+    ``lp_solve`` hands to the kernel.  Its rows are x - u + s = p,
+    x + u - s' = p (the negated -p row), suffix rows + s'' = Hb and
+    sum x = 1; for any probability-vector data only the right-hand side
+    (p, p, Hb, 1) changes.
     """
-    n_struct = 2 * n
-    n_slack = 3 * n
-    m = 3 * n + 1
-    a = np.zeros((m, n_struct + n_slack))
-    for i in range(n):
-        a[i, i] = 1.0
-        a[i, n + i] = -1.0
-        a[i, n_struct + i] = 1.0
-        a[n + i, i] = 1.0
-        a[n + i, n + i] = 1.0
-        a[n + i, n_struct + n + i] = -1.0
-    for i in range(n):
-        a[2 * n + i, n - 1 - i : n] = 1.0
-        a[2 * n + i, n_struct + 2 * n + i] = 1.0
-    a[3 * n, :n] = 1.0
-    c = np.zeros(n_struct + n_slack)
-    c[n:n_struct] = 1.0
-    max_iter = 200 + 50 * (m + a.shape[1])
-    return a, c, max_iter
+    uniform = TimbralVector(np.full(n, 1.0 / n))
+    a, _, c = equality_form(to_lp(DesignProblem(uniform, uniform)))
+    return a, c, iteration_budget(a)
 
 
 def _fast_closest_solve(p: np.ndarray, bound_profile: np.ndarray) -> np.ndarray | None:

@@ -83,23 +83,16 @@ class LPResult:
     status: LPStatus
 
 
-def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None) -> LPResult:
-    """Solve to an optimal basic feasible solution.
+def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's system (a, b, c): minimise c.v s.t. a v = b, v >= 0, b >= 0.
 
-    Deterministic: Bland's rule fixes the pivot sequence, so repeated solves
-    of the same instance return the same vertex.
+    One slack column per inequality row follows the original variables;
+    rows with a negative right-hand side are negated.
     """
     nv = lp.n_vars
     mu = lp.a_ub.shape[0]
     me = lp.a_eq.shape[0]
-    m = mu + me
-    if m == 0:
-        # v = 0 is optimal iff no cost is negative (v >= 0, unconstrained above)
-        if bool((lp.objective < -tol).any()):
-            return LPResult(np.zeros(nv), float("nan"), LPStatus.UNBOUNDED)
-        return LPResult(np.zeros(nv), 0.0, LPStatus.OPTIMAL)
-
-    a = np.zeros((m, nv + mu))
+    a = np.zeros((mu + me, nv + mu))
     a[:mu, :nv] = lp.a_ub
     a[:mu, nv:] = np.eye(mu)
     a[mu:, :nv] = lp.a_eq
@@ -108,8 +101,30 @@ def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None)
     a[flip] *= -1.0
     b = np.abs(b)
     c = np.concatenate([lp.objective, np.zeros(mu)])
+    return a, b, c
+
+
+def iteration_budget(a: np.ndarray) -> int:
+    """Default pivot limit for an equality system with matrix ``a``."""
+    return 200 + 50 * (a.shape[0] + a.shape[1])
+
+
+def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None) -> LPResult:
+    """Solve to an optimal basic feasible solution.
+
+    Deterministic: Bland's rule fixes the pivot sequence, so repeated solves
+    of the same instance return the same vertex.
+    """
+    nv = lp.n_vars
+    if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
+        # v = 0 is optimal iff no cost is negative (v >= 0, unconstrained above)
+        if bool((lp.objective < -tol).any()):
+            return LPResult(np.zeros(nv), float("nan"), LPStatus.UNBOUNDED)
+        return LPResult(np.zeros(nv), 0.0, LPStatus.OPTIMAL)
+
+    a, b, c = equality_form(lp)
     if max_iter is None:
-        max_iter = 200 + 50 * (m + nv + mu)
+        max_iter = iteration_budget(a)
 
     code, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
     status = _STATUS_FROM_CODE[int(code)]

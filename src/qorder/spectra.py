@@ -3,7 +3,8 @@
 CSV format: one ``harmonic_index,power`` row per harmonic, 1-based indices,
 optional header row, ``#`` comment lines allowed.  Harmonics missing from the
 file below the largest listed index are read as zero power; nothing is padded
-above it unless ``normalize`` is asked to.
+above it unless ``normalize`` is asked to.  Spectra hold at most
+``MAX_HARMONICS`` harmonics, read or padded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ FIXTURE_NAMES = (
     "synthetic_sax",
     "synthetic_trumpet",
 )
+
+MAX_HARMONICS = 1024
 
 
 class SpectrumFormatError(ValueError):
@@ -72,8 +75,10 @@ def load_spectrum(path: str | Path, name: str | None = None) -> RawSpectrum:
                 continue
             raise SpectrumFormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
         header_allowed = False
-        if index < 1:
-            raise SpectrumFormatError(f"{path}:{lineno}: harmonic index must be >= 1")
+        if not 1 <= index <= MAX_HARMONICS:
+            raise SpectrumFormatError(
+                f"{path}:{lineno}: harmonic index {index} outside 1..{MAX_HARMONICS}"
+            )
         if index in entries:
             raise SpectrumFormatError(f"{path}:{lineno}: duplicate harmonic index {index}")
         if not np.isfinite(power) or power < 0:
@@ -97,6 +102,8 @@ def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:
     if pad_to is not None:
         if pad_to < powers.size:
             raise ValueError(f"pad_to {pad_to} below spectrum length {powers.size}")
+        if pad_to > MAX_HARMONICS:
+            raise ValueError(f"pad_to {pad_to} above the limit of {MAX_HARMONICS} harmonics")
         powers = np.concatenate([powers, np.zeros(pad_to - powers.size)])
     return TimbralVector(powers, raw.name)
 

@@ -1,0 +1,114 @@
+"""Reference oracle for the simplex kernel.
+
+A scalar, loop-by-loop form of ``qorder._kernels.simplex_solve``: the same
+tableau, Bland's rule and pivot sequence, written one entry at a time.  The
+kernel's row operations must reproduce it bit for bit.
+"""
+
+import numpy as np
+
+from qorder import _kernels
+
+
+def loop_simplex_solve(a, b, c, tol, max_iter):
+    """Minimise c.v subject to a.v = b (b >= 0), v >= 0.
+
+    Slack/surplus columns must already be part of ``a``; one artificial
+    variable per row is appended here and driven out by the first phase.
+    Bland's rule (lowest eligible entering column; ratio ties broken by the
+    lowest basis variable) guarantees termination.  Returns (status, v).
+    """
+    m, n = a.shape
+    width = n + m + 1
+    t = np.zeros((m + 1, width))
+    basis = np.empty(m, np.int64)
+    for i in range(m):
+        for j in range(n):
+            t[i, j] = a[i, j]
+        t[i, n + i] = 1.0
+        t[i, width - 1] = b[i]
+        basis[i] = n + i
+    # phase-1 objective (sum of artificials) in reduced form
+    for i in range(m):
+        t[m, :] -= t[i, :]
+
+    iters = 0
+    for phase in range(2):
+        if phase == 1:
+            if -t[m, width - 1] > _kernels._FEAS_TOL:
+                return _kernels.SIMPLEX_INFEASIBLE, np.zeros(n)
+            # drive leftover artificials out of the basis; zero redundant rows
+            for r in range(m):
+                if basis[r] >= n:
+                    found = -1
+                    for j in range(n):
+                        if t[r, j] > tol or t[r, j] < -tol:
+                            found = j
+                            break
+                    if found >= 0:
+                        piv = t[r, found]
+                        t[r, :] /= piv
+                        for i in range(m + 1):
+                            if i != r:
+                                f = t[i, found]
+                                if f != 0.0:
+                                    t[i, :] -= f * t[r, :]
+                        for i in range(m + 1):
+                            t[i, found] = 0.0
+                        t[r, found] = 1.0
+                        basis[r] = found
+                    else:
+                        t[r, :] = 0.0
+            # rebuild the objective row from the real costs
+            t[m, :] = 0.0
+            for j in range(n):
+                t[m, j] = c[j]
+            for r in range(m):
+                jb = basis[r]
+                if jb < n and c[jb] != 0.0:
+                    t[m, :] -= c[jb] * t[r, :]
+
+        while True:
+            if iters >= max_iter:
+                return _kernels.SIMPLEX_ITERATION_LIMIT, np.zeros(n)
+            enter = -1
+            for j in range(n):  # artificial columns never re-enter
+                if t[m, j] < -tol:
+                    enter = j
+                    break
+            if enter < 0:
+                break
+            leave = -1
+            best_ratio = 0.0
+            best_var = -1
+            for i in range(m):
+                coef = t[i, enter]
+                if coef > tol:
+                    ratio = t[i, width - 1] / coef
+                    if leave < 0 or ratio < best_ratio or (
+                        ratio == best_ratio and basis[i] < best_var
+                    ):
+                        leave = i
+                        best_ratio = ratio
+                        best_var = basis[i]
+            if leave < 0:
+                return _kernels.SIMPLEX_UNBOUNDED, np.zeros(n)
+            piv = t[leave, enter]
+            t[leave, :] /= piv
+            for i in range(m + 1):
+                if i != leave:
+                    f = t[i, enter]
+                    if f != 0.0:
+                        t[i, :] -= f * t[leave, :]
+            # write the unit column exactly so basic reduced costs stay 0
+            for i in range(m + 1):
+                t[i, enter] = 0.0
+            t[leave, enter] = 1.0
+            basis[leave] = enter
+            iters += 1
+
+    v = np.zeros(n)
+    for r in range(m):
+        if basis[r] < n:
+            v[basis[r]] = t[r, width - 1]
+    return _kernels.SIMPLEX_OPTIMAL, v

@@ -2,9 +2,8 @@
 
 Each test prints one ``[A##] PASS/FAIL`` line (visible with ``pytest -s``)
 and enforces the stated runtime budget where one applies.  Budgets are
-measured after a warm-up pass so that one-time JIT compilation of the hot
-kernels is not billed to any single criterion (set QO_NO_NUMBA=1 to run the
-pure-numpy fallbacks instead).
+measured after a warm-up pass so that one-time import and first-call costs
+are not billed to any single criterion.
 """
 
 import json

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import qorder
 from qorder.cli import main
 from qorder.spectra import fixture_dir
 
@@ -135,6 +137,19 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_huge_harmonic_index_exit_one(self, runner, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1,1.0\n1000000000000,1\n")
+        result = runner.invoke(main, ["timbre", "compare", str(huge), str(huge)])
+        assert result.exit_code == 1
+        assert f"error: {huge}:2: harmonic index" in result.output
+
+    def test_huge_pad_to_exit_one(self, runner):
+        horn = str(fixture_dir() / "synthetic_horn.csv")
+        result = runner.invoke(main, ["timbre", "compare", horn, horn, "--pad-to", "10000000000"])
+        assert result.exit_code == 1
+        assert "error: pad_to" in result.output
+
     def test_usage_error_exit_two(self, runner):
         result = runner.invoke(main, ["setclass", "minimal", "--edo", "12", "--bogus"])
         assert result.exit_code == 2
@@ -145,9 +160,12 @@ class TestErrorPaths:
 
 
 def test_module_entry_point():
+    # the child imports the same qorder as this process, installed or not
+    package_root = str(Path(qorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qorder", "setclass", "count", "--edo", "5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "set classes: 8\nburnside: 8\n"

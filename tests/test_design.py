@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qorder import accel
 from qorder.design import (
     DesignProblem,
     DesignStatus,
@@ -239,8 +238,7 @@ class TestTargetDominanceClaims:
 
 class TestCounterexampleSearch:
     def test_three_harmonics_never_finds(self):
-        # the full budget runs under the jitted kernel; trimmed otherwise
-        trials = 10_000 if accel.ENABLED else 1_500
+        trials = 1_500
         report = counterexample_search(3, trials, seed=0)
         assert not report.found
 

@@ -1,43 +1,127 @@
-"""The loop kernels and their numpy fallbacks must agree exactly."""
+"""The numpy kernels against independent scalar oracles.
+
+The simplex kernel must follow the loop oracle in ``reference_simplex`` pivot
+for pivot, so status and solution agree bit for bit; the bitmask kernels are
+checked against brute force over rotations and against ``class_leq``.
+"""
 
 import numpy as np
 import pytest
 
-from qorder import _kernels, accel
+from qorder import _kernels, design
+from qorder.design import DesignProblem, Variant
+from qorder.setclass import PitchClassSet, SetClass, class_leq
+from qorder.simplex import LPStandardForm, equality_form, iteration_budget
+from qorder.timbre import TimbralVector
+
+from reference_simplex import loop_simplex_solve
+from structures import random_simplex
+
+# design instances per harmonic count; each yields three LPs, 1242 in all
+DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}
 
 
-class TestFallbackEquivalence:
-    def test_canonical_masks(self):
-        for n in (1, 2, 5, 9, 12):
-            loops = _kernels._canonical_masks_loop(n)
-            vectorized = _kernels._canonical_masks_numpy(n)
-            assert (loops == vectorized).all()
-
-    def test_subset_leq(self):
-        rng = np.random.default_rng(19)
-        for n in (3, 7, 12):
-            masks = np.unique(rng.integers(0, 1 << n, size=40)).astype(np.int64)
-            loops = _kernels._subset_leq_loop(masks, n)
-            vectorized = _kernels._subset_leq_numpy(masks, n)
-            assert (loops == vectorized).all()
+def assert_same_solve(a, b, c, tol=1e-9, max_iter=None):
+    if max_iter is None:
+        max_iter = iteration_budget(a)
+    code, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
+    ref_code, ref_v = loop_simplex_solve(a, b, c, tol, max_iter)
+    assert int(code) == int(ref_code)
+    assert v.tobytes() == ref_v.tobytes()
+    return int(code)
 
 
-@pytest.mark.skipif(not accel.ENABLED, reason="numba disabled or unavailable")
-class TestJitMatchesInterpreted:
-    """The compiled kernels perform the same arithmetic in the same order,
-    so results are identical bit for bit."""
+def recorded_design_lps(monkeypatch, n, count, seed):
+    """Every LP the design solvers build for ``count`` random instances:
+    l1min and l1min2 through ``to_lp``, plus the closest-to-bound stage two."""
+    lps = []
+    solve = design.lp_solve
 
-    def test_simplex_identical_solutions(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            m, nv = 6, 4
-            a = np.hstack([rng.normal(size=(m, nv)), np.eye(m)])
-            b = rng.uniform(0.1, 2.0, size=m)
-            c = np.concatenate([rng.normal(size=nv), np.zeros(m)])
-            jitted = _kernels.simplex_solve(a, b, c, 1e-9, 500)
-            plain = _kernels._simplex_solve(a, b, c, 1e-9, 500)
-            assert int(jitted[0]) == int(plain[0])
-            assert (np.asarray(jitted[1]) == np.asarray(plain[1])).all()
+    def record(lp, *args, **kwargs):
+        lps.append(lp)
+        return solve(lp, *args, **kwargs)
 
-    def test_canonical_masks_identical(self):
-        assert (_kernels.canonical_masks(10) == _kernels._canonical_masks_loop(10)).all()
+    monkeypatch.setattr(design, "lp_solve", record)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        target = TimbralVector(random_simplex(rng, n))
+        bound = TimbralVector(random_simplex(rng, n))
+        design.solve_closest_to_bound(DesignProblem(target, bound))
+        design.solve_design(DesignProblem(target, bound, Variant.BI_OBJECTIVE))
+    monkeypatch.undo()
+    return lps
+
+
+class TestSimplexMatchesLoopOracle:
+    @pytest.mark.parametrize("n", sorted(DESIGN_INSTANCES))
+    def test_design_lps(self, monkeypatch, n):
+        lps = recorded_design_lps(monkeypatch, n, DESIGN_INSTANCES[n], seed=n)
+        assert len(lps) == 3 * DESIGN_INSTANCES[n]
+        widths = {lp.n_vars for lp in lps}
+        assert widths == {2 * n, 3 * n}
+        for lp in lps:
+            a, b, c = equality_form(lp)
+            assert assert_same_solve(a, b, c) == _kernels.SIMPLEX_OPTIMAL
+
+    def test_search_systems(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4, 8):
+            a, c, max_iter = design._search_system(n)
+            for _ in range(25):
+                p = random_simplex(rng, n)
+                profile = np.cumsum(random_simplex(rng, n)[::-1])
+                b = np.concatenate([p, p, profile, [1.0]])
+                assert_same_solve(a, b, c, max_iter=max_iter)
+
+    def test_random_general_lps(self):
+        # small integer data makes degenerate vertices and exact ratio ties
+        rng = np.random.default_rng(11)
+        seen = set()
+        for trial in range(600):
+            nv = int(rng.integers(1, 7))
+            mu = int(rng.integers(0, 6))
+            me = int(rng.integers(0, 3))
+            if mu + me == 0:
+                mu = 1
+            if trial % 2:
+                draw = lambda *shape: rng.integers(-2, 3, size=shape).astype(float)
+            else:
+                draw = lambda *shape: rng.normal(size=shape)
+            lp = LPStandardForm(draw(nv), draw(mu, nv), draw(mu), draw(me, nv), draw(me))
+            a, b, c = equality_form(lp)
+            seen.add(assert_same_solve(a, b, c))
+        assert seen == {
+            _kernels.SIMPLEX_OPTIMAL,
+            _kernels.SIMPLEX_INFEASIBLE,
+            _kernels.SIMPLEX_UNBOUNDED,
+        }
+
+    def test_iteration_limit(self):
+        rng = np.random.default_rng(13)
+        target = TimbralVector(random_simplex(rng, 8))
+        bound = TimbralVector(random_simplex(rng, 8))
+        a, b, c = equality_form(design.to_lp(DesignProblem(target, bound)))
+        for max_iter in range(4):
+            code = assert_same_solve(a, b, c, max_iter=max_iter)
+            assert code == _kernels.SIMPLEX_ITERATION_LIMIT
+
+
+def rotation_minimum(mask, n):
+    full = (1 << n) - 1
+    return min(((mask << t) | (mask >> (n - t))) & full for t in range(n))
+
+
+class TestBitmaskKernels:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_canonical_masks_is_rotation_minimum(self, n):
+        expected = [rotation_minimum(m, n) for m in range(1 << n)]
+        assert _kernels.canonical_masks(n).tolist() == expected
+
+    @pytest.mark.parametrize("n", (3, 7, 12))
+    def test_subset_leq_matrix_matches_class_leq(self, n):
+        rng = np.random.default_rng(19 + n)
+        masks = np.unique(rng.integers(0, 1 << n, size=40)).astype(np.int64)
+        classes = [SetClass(n, PitchClassSet.from_mask(n, int(m))) for m in masks]
+        table = _kernels.subset_leq_matrix(masks, n)
+        expected = [[class_leq(x, y) for y in classes] for x in classes]
+        assert table.tolist() == expected

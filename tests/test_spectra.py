@@ -6,6 +6,7 @@ import pytest
 from qorder.orders import Comparison, FiniteRelation
 from qorder.spectra import (
     FIXTURE_NAMES,
+    MAX_HARMONICS,
     RawSpectrum,
     SpectrumFormatError,
     export_dot,
@@ -55,6 +56,13 @@ class TestLoadSpectrum:
         with pytest.raises(SpectrumFormatError, match="duplicate"):
             load_spectrum(write(tmp_path, "1,1.0\n1,2.0\n"))
 
+    def test_index_cap_names_line(self, tmp_path):
+        raw = load_spectrum(write(tmp_path, f"1,1.0\n{MAX_HARMONICS},1.0\n"))
+        assert raw.powers.size == MAX_HARMONICS
+        for index in (0, MAX_HARMONICS + 1, 10**12):
+            with pytest.raises(SpectrumFormatError, match=r"spec\.csv:2: harmonic index"):
+                load_spectrum(write(tmp_path, f"1,1.0\n{index},1\n"))
+
     def test_explicit_name(self, tmp_path):
         raw = load_spectrum(write(tmp_path, "1,1.0\n"), name="custom")
         assert raw.name == "custom"
@@ -73,6 +81,12 @@ class TestNormalize:
         raw = RawSpectrum("x", np.array([1.0, 1.0, 1.0]), "mem")
         with pytest.raises(ValueError, match="pad_to"):
             normalize(raw, pad_to=2)
+
+    def test_pad_above_cap_rejected(self):
+        raw = RawSpectrum("x", np.array([1.0, 1.0]), "mem")
+        assert normalize(raw, pad_to=MAX_HARMONICS).n == MAX_HARMONICS
+        with pytest.raises(ValueError, match="pad_to"):
+            normalize(raw, pad_to=MAX_HARMONICS + 1)
 
     def test_all_zero_rejected(self):
         raw = RawSpectrum("x", np.array([0.0, 0.0]), "mem")
