@@ -17,6 +17,10 @@ SIMPLEX_ITERATION_LIMIT = 3
 
 _FEAS_TOL = 1e-7
 
+# rows of the subset relation filled per block; 64 beat 256 and 1024 at
+# K = 3244 to 10724
+_BLOCK_ROWS = 64
+
 
 # ---------------------------------------------------------------------------
 # transposition orbits of bitmask pitch class sets
@@ -35,14 +39,34 @@ def canonical_masks(n):
 
 
 def subset_leq_matrix(masks, n):
-    """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j]."""
+    """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j].
+
+    Masks are held in the narrowest unsigned dtype that fits n bits.  The
+    K x K result is filled in blocks of ``_BLOCK_ROWS`` rows: a rotation is a
+    subset of masks[j] when it has no bit outside masks[j].  Beyond the result,
+    memory is the (n, K) rotations and (_BLOCK_ROWS, K) buffers.
+    """
+    dtype = np.min_scalar_type((1 << n) - 1)
+    full = dtype.type((1 << n) - 1)
+    masks = np.asarray(masks).astype(dtype)
     count = masks.shape[0]
-    full = np.int64((1 << n) - 1)
-    rots = np.empty((n, count), np.int64)
-    for t in range(n):
-        rots[t] = ((masks << t) | (masks >> (n - t))) & full
-    lhs = rots[:, :, None]
-    return ((lhs & masks[None, None, :]) == lhs).any(axis=0)
+    rots = np.empty((n, count), dtype)
+    rots[0] = masks
+    for t in range(1, n):
+        # rotation 0 is the mask itself, so no shift is by the full width n;
+        # bits shifted above n are cleared by ``outside``
+        rots[t] = (masks << dtype.type(t)) | (masks >> dtype.type(n - t))
+    outside = ~masks & full
+    out = np.zeros((count, count), dtype=bool)
+    tmp = np.empty((_BLOCK_ROWS, count), dtype)
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = out[rows]
+        buf = tmp[: block.shape[0]]
+        for t in range(n):
+            np.bitwise_and(rots[t, rows, None], outside, out=buf)
+            block |= buf == 0
+    return out
 
 
 # ---------------------------------------------------------------------------

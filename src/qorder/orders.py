@@ -249,13 +249,20 @@ def action_properties(rel: FiniteRelation, action: GroupAction) -> ActionPropert
     return ActionProperties(increasing, transverse)
 
 
+def _two_step(table: np.ndarray) -> np.ndarray:
+    """Pairs (i, j) joined through some k: a BLAS float32 product, exact
+    because a sum of non-negative terms is positive exactly when one is."""
+    weights = table.astype(np.float32)
+    return (weights @ weights) > 0
+
+
 def relation_axioms(rel: FiniteRelation) -> RelationAxioms:
     holds = rel.holds
     n = rel.size
     eye = np.eye(n, dtype=bool)
     reflexive = bool(holds[eye].all()) if n else True
     antisymmetric = not bool((holds & holds.T & ~eye).any())
-    two_step = (holds.astype(np.int64) @ holds.astype(np.int64)) > 0
+    two_step = _two_step(holds)
     transitive = not bool((two_step & ~holds).any())
     return RelationAxioms(reflexive, antisymmetric, transitive)
 
@@ -264,7 +271,7 @@ def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
     """Smallest transitive relation containing ``rel``."""
     closure = rel.holds.copy()
     while True:
-        step = ((closure.astype(np.int64) @ closure.astype(np.int64)) > 0) | closure
+        step = _two_step(closure) | closure
         if bool((step == closure).all()):
             break
         closure = step
@@ -284,22 +291,23 @@ def minimal_elements(
     The caller is responsible for ``rel`` restricted to ``subset`` being a
     partial order; pass ``validate=True`` to check.
     """
-    ids = sorted(range(rel.size)) if subset is None else sorted(set(subset))
-    for i in ids:
-        if not 0 <= i < rel.size:
-            raise ValueError(f"element id {i} out of range for size {rel.size}")
+    if subset is None:
+        ids = np.arange(rel.size)
+    else:
+        ids = np.unique(np.fromiter(subset, dtype=np.int64))
+    outside = ids[(ids < 0) | (ids >= rel.size)]
+    if outside.size:
+        raise ValueError(f"element id {outside[0]} out of range for size {rel.size}")
+    # ids are unique and in range, so as many ids as elements is the whole
+    # ground set: use the table itself, not an np.ix_ copy
+    sub = rel.holds if ids.size == rel.size else rel.holds[np.ix_(ids, ids)]
     if validate:
-        sub = rel.holds[np.ix_(ids, ids)]
         axioms = relation_axioms(FiniteRelation(len(ids), sub))
         if not axioms.partial_order:
             raise ValueError("relation restricted to subset is not a partial order")
-    idx = np.asarray(ids)
-    out = set()
-    for i in ids:
-        others = idx[idx != i]
-        if others.size == 0 or not bool(rel.holds[others, i].any()):
-            out.add(i)
-    return out
+    # predecessors of each element within ids, itself excluded
+    strict_preds = sub.sum(axis=0, dtype=np.int32) - np.diagonal(sub)
+    return set(ids[strict_preds == 0].tolist())
 
 
 def maximal_elements(
@@ -315,7 +323,7 @@ def transitive_reduction(rel: FiniteRelation) -> FiniteRelation:
     if not axioms.partial_order:
         raise ValueError("transitive reduction requires a partial order")
     strict = rel.holds & ~np.eye(rel.size, dtype=bool)
-    two_step = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
+    two_step = _two_step(strict)
     return FiniteRelation(rel.size, strict & ~two_step, rel.labels)
 
 

@@ -19,6 +19,8 @@ from . import _kernels
 from .orders import FiniteRelation, minimal_elements
 
 MAX_EDO = 24
+# largest family whose dense subset order is built: a 1 GiB boolean table
+MAX_ORDER_CLASSES = 32768
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,18 @@ def class_leq(a: SetClass, b: SetClass) -> bool:
 
 
 def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
-    """Dense subset order over a family of classes that share an edo."""
+    """Dense subset order over a family of classes that share an edo.
+
+    Raises ValueError, before allocating, for a family of more than
+    ``MAX_ORDER_CLASSES`` classes.
+    """
     if not classes:
         return FiniteRelation(0, np.zeros((0, 0), dtype=bool))
+    if len(classes) > MAX_ORDER_CLASSES:
+        raise ValueError(
+            f"family of {len(classes)} classes exceeds the subset order's limit of "
+            f"{MAX_ORDER_CLASSES} (its table would take {len(classes) ** 2} bytes)"
+        )
     edo = classes[0].edo
     for c in classes:
         if c.edo != edo:

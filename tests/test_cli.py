@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import qorder
+from qorder import setclass
 from qorder.cli import main
 from qorder.spectra import fixture_dir
 
@@ -149,6 +150,13 @@ class TestErrorPaths:
         result = runner.invoke(main, ["timbre", "compare", horn, horn, "--pad-to", "10000000000"])
         assert result.exit_code == 1
         assert "error: pad_to" in result.output
+
+    def test_family_above_order_limit_exit_one(self, runner, monkeypatch):
+        # edo 12, steps up to 12: 351 nonempty classes
+        monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", 100)
+        result = runner.invoke(main, ["setclass", "minimal", "--edo", "12", "--max-second", "12"])
+        assert result.exit_code == 1
+        assert "error: family of 351 classes exceeds" in result.output
 
     def test_usage_error_exit_two(self, runner):
         result = runner.invoke(main, ["setclass", "minimal", "--edo", "12", "--bogus"])

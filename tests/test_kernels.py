@@ -5,12 +5,14 @@ for pivot, so status and solution agree bit for bit; the bitmask kernels are
 checked against brute force over rotations and against ``class_leq``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
-from qorder.setclass import PitchClassSet, SetClass, class_leq
+from qorder.setclass import PitchClassSet, SetClass, class_leq, span_limited_classes
 from qorder.simplex import LPStandardForm, equality_form, iteration_budget
 from qorder.timbre import TimbralVector
 
@@ -117,11 +119,26 @@ class TestBitmaskKernels:
         expected = [rotation_minimum(m, n) for m in range(1 << n)]
         assert _kernels.canonical_masks(n).tolist() == expected
 
-    @pytest.mark.parametrize("n", (3, 7, 12))
+    # 8/9, 16/17 and 24 straddle the uint8, uint16 and uint32 mask dtypes
+    @pytest.mark.parametrize("n", (3, 7, 8, 9, 12, 16, 17, 24))
     def test_subset_leq_matrix_matches_class_leq(self, n):
         rng = np.random.default_rng(19 + n)
-        masks = np.unique(rng.integers(0, 1 << n, size=40)).astype(np.int64)
+        edges = [0, (1 << n) - 1] + [1 << i for i in range(n)]
+        drawn = rng.integers(0, 1 << n, size=40)
+        masks = np.unique(np.concatenate([edges, drawn])).astype(np.int64)
         classes = [SetClass(n, PitchClassSet.from_mask(n, int(m))) for m in masks]
         table = _kernels.subset_leq_matrix(masks, n)
         expected = [[class_leq(x, y) for y in classes] for x in classes]
         assert table.tolist() == expected
+
+    def test_subset_leq_matrix_peak_memory(self):
+        masks = np.array([c.mask for c in span_limited_classes(18, 3)], dtype=np.int64)
+        count = len(masks)
+        tracemalloc.start()
+        try:
+            table = _kernels.subset_leq_matrix(masks, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (count, count)
+        assert peak < count * count + (4 << 20)

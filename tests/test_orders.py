@@ -179,11 +179,63 @@ class TestMinimalElements:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             minimal_elements(chain(3), subset={5})
+        with pytest.raises(ValueError, match="element id -1 out of range"):
+            minimal_elements(chain(3), subset=[0, -1, 0])
+
+    def test_matches_brute_force(self):
+        # any relation, reflexive or not; subsets drawn with repeats
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            size = int(rng.integers(0, 10))
+            holds = rng.random((size, size)) < rng.uniform(0.0, 0.6)
+            rel = FiniteRelation(size, holds)
+            if trial % 3 == 0:
+                subset = None
+                ids = set(range(size))
+            else:
+                subset = rng.integers(0, max(size, 1), size=int(rng.integers(0, 2 * size + 1)))
+                subset = subset[subset < size].tolist()
+                ids = set(subset)
+            expected = {i for i in ids if not any(holds[j, i] for j in ids if j != i)}
+            assert minimal_elements(rel, subset) == expected
+
+    def test_validate_checks_only_the_subset(self):
+        # 0 and 1 form a cycle; the subset {1, 2} is a chain
+        rel = reflexive_closure(FiniteRelation.from_pairs(3, [(0, 1), (1, 0), (1, 2)]))
+        assert minimal_elements(rel, subset=[2, 1, 2], validate=True) == {1}
 
     def test_validate_rejects_non_order(self):
         rel = FiniteRelation.from_pairs(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="partial order"):
             minimal_elements(rel, validate=True)
+
+
+def warshall_closure(holds):
+    closure = holds.copy()
+    for k in range(len(closure)):
+        for i in range(len(closure)):
+            if closure[i, k]:
+                closure[i] |= closure[k]
+    return closure
+
+
+class TestTwoStepProducts:
+    def test_closure_and_transitivity_match_warshall(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            size = int(rng.integers(1, 40))
+            holds = rng.random((size, size)) < rng.uniform(0.0, 0.2)
+            rel = FiniteRelation(size, holds)
+            expected = warshall_closure(holds)
+            assert np.array_equal(transitive_closure(rel).holds, expected)
+            assert relation_axioms(rel).transitive == np.array_equal(holds, expected)
+
+    def test_counts_past_narrow_integers(self):
+        # 0 reaches 257 through each of 256 middle elements, and not directly
+        pairs = [(0, m) for m in range(1, 257)] + [(m, 257) for m in range(1, 257)]
+        rel = FiniteRelation.from_pairs(258, pairs)
+        assert not relation_axioms(rel).transitive
+        assert transitive_closure(rel).holds[0, 257]
 
 
 class TestTransitiveReduction:

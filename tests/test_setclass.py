@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qorder import _kernels, setclass
 from qorder.orders import relation_axioms
 from qorder.setclass import (
     PitchClassSet,
@@ -154,6 +155,19 @@ class TestClassLeq:
         axioms = relation_axioms(rel)
         assert axioms.partial_order
 
+    def test_subset_order_family_limit(self, monkeypatch):
+        classes = enumerate_set_classes(6)
+        monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", len(classes))
+        assert subset_order(classes).size == len(classes)
+
+        def no_allocation(masks, n):
+            raise AssertionError("kernel reached above the family limit")
+
+        monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", len(classes) - 1)
+        monkeypatch.setattr(_kernels, "subset_leq_matrix", no_allocation)
+        with pytest.raises(ValueError, match=f"limit of {len(classes) - 1}"):
+            subset_order(classes)
+
     def test_cardinality_monotone(self):
         rng = np.random.default_rng(17)
         classes = enumerate_set_classes(10)
@@ -289,6 +303,11 @@ class TestThirdsCriterion:
 
     def test_seven_tone(self):
         assert thirds_criterion_holds(7, 2)
+
+    # beyond A02's N <= 12: the uint16 and uint32 mask paths end to end
+    @pytest.mark.parametrize("edo, max_second", [(16, 6), (17, 3)])
+    def test_large_systems(self, edo, max_second):
+        assert thirds_criterion_holds(edo, max_second)
 
     def test_all_small_systems(self):
         for edo in range(1, 11):
