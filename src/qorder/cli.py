@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +39,11 @@ def _domain_errors(func):
             sys.exit(1)
 
     return wrapper
+
+
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"--tol must be finite, got {tol}")
 
 
 def _default_seed() -> int:
@@ -133,6 +139,7 @@ def _load_vector(path: str, pad_to: int | None) -> timbre.TimbralVector:
 @_domain_errors
 def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, pad_to: int | None, fmt: str) -> None:
     """Compare two spectra in the brightness order."""
+    _check_tol(tol)
     a = _load_vector(spectrum_a, pad_to)
     b = _load_vector(spectrum_b, pad_to)
     verdict = timbre.brightness_compare(a, b, tol)
@@ -152,6 +159,7 @@ def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, pad_to: int | N
 @_domain_errors
 def timbre_hasse(directory: str, dot_path: str | None, tol: float, pad_to: int | None, fmt: str) -> None:
     """Brightness diagram of every CSV spectrum in a directory."""
+    _check_tol(tol)
     paths = sorted(Path(directory).glob("*.csv"))
     if not paths:
         raise ValueError(f"no .csv spectra found in {directory}")
@@ -346,6 +354,7 @@ def submajorize_cmd(multiset_a: str, multiset_b: str, tol: float, fmt: str) -> N
             raise ValueError(f"{path}: expected a JSON array of numbers")
         return [float(v) for v in data]
 
+    _check_tol(tol)
     verdict = orders.submajorize_compare(load(multiset_a), load(multiset_b), tol)
     if fmt == "json":
         _echo_json({"verdict": verdict.value})

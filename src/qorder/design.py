@@ -10,6 +10,7 @@ that the solution is itself a timbre.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ from .simplex import (
     iteration_budget,
     lp_solve,
 )
+from .spectra import MAX_HARMONICS
 from .timbre import TimbralVector, brightness_compare, infimum, suffix_profile
 
 STAGE_TWO_SLACK = 1e-9
@@ -297,8 +299,10 @@ def counterexample_search(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n <= MAX_HARMONICS:
+        raise ValueError(f"n must be at least 2 and at most {MAX_HARMONICS}, got {n}")
+    if not math.isfinite(gap_tol):
+        raise ValueError(f"gap_tol must be finite, got {gap_tol}")
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         p = rng.dirichlet(np.ones(n))

@@ -50,7 +50,9 @@ class FiniteRelation:
     """A boolean relation over ``0..size-1``; ``holds[i, j]`` means i precedes j.
 
     No axioms are assumed at construction: use :func:`relation_axioms` to
-    find out what the table actually satisfies.
+    find out what the table actually satisfies.  A ``bool`` ndarray that no
+    array in its base chain lets anyone write is adopted as it is; anything
+    else is copied into a read-only table.
     """
 
     size: int
@@ -58,12 +60,14 @@ class FiniteRelation:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        table = np.array(self.holds, dtype=bool)
+        table = self.holds
+        if not (isinstance(table, np.ndarray) and table.dtype == bool and _frozen(table)):
+            table = np.array(table, dtype=bool)
+            table.setflags(write=False)
         if table.shape != (self.size, self.size):
             raise ValueError(
                 f"relation table has shape {table.shape}, expected {(self.size, self.size)}"
             )
-        table.setflags(write=False)
         object.__setattr__(self, "holds", table)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
@@ -90,6 +94,15 @@ class FiniteRelation:
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """True when neither ``array`` nor any array it views is writeable."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 @dataclass(frozen=True)

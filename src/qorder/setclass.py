@@ -3,14 +3,17 @@
 Sets live in Z_N as bitmasks.  A set class is a transposition orbit; its
 canonical representative is the lexicographically least ascending member
 sequence among the N transpositions, so nonempty representatives always start
-at 0.  The subset order on classes ("some transposition embeds") is realised
-as a dense relation so the generic order utilities apply.
+at 0.  It is read off the least cyclic rotation of the set's step sequence.
+The subset order on classes ("some transposition embeds") is realised as a
+dense relation so the generic order utilities apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
+from operator import add, attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +26,7 @@ MAX_EDO = 24
 MAX_ORDER_CLASSES = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PitchClassSet:
     """A subset of Z_N; ``members`` is the sorted residue tuple."""
 
@@ -33,17 +36,24 @@ class PitchClassSet:
     def __post_init__(self) -> None:
         if self.edo < 1:
             raise ValueError("edo must be at least 1")
-        members = tuple(sorted(int(x) for x in self.members))
+        members = tuple(sorted(map(int, self.members)))
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate pitch classes in {members}")
-        for x in members:
-            if not 0 <= x < self.edo:
-                raise ValueError(f"pitch class {x} out of range for edo {self.edo}")
+        if members and (members[0] < 0 or members[-1] >= self.edo):
+            x = next(x for x in members if not 0 <= x < self.edo)
+            raise ValueError(f"pitch class {x} out of range for edo {self.edo}")
         object.__setattr__(self, "members", members)
 
     @classmethod
     def from_mask(cls, edo: int, mask: int) -> "PitchClassSet":
-        return cls(edo, tuple(i for i in range(edo) if (mask >> i) & 1))
+        """The set of bit positions below ``edo`` that are set in ``mask``."""
+        mask &= (1 << max(edo, 0)) - 1  # a negative edo is refused by __post_init__
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return cls(edo, tuple(members))
 
     @property
     def mask(self) -> int:
@@ -63,7 +73,7 @@ class PitchClassSet:
         return "{" + ",".join(str(x) for x in self.members) + "}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SetClass:
     """A transposition orbit of pitch class sets, keyed by its canonical rep."""
 
@@ -86,14 +96,26 @@ class SetClass:
         return str(self.rep)
 
 
+def _steps(members: tuple[int, ...], edo: int) -> tuple[int, ...]:
+    """Cyclic steps between the sorted, nonempty ``members``; the last wraps the octave."""
+    return tuple([b - a for a, b in zip(members, members[1:])] + [members[0] + edo - members[-1]])
+
+
 def canonical_form(pcs: PitchClassSet) -> SetClass:
-    """Set class of ``pcs``: equal outputs exactly for transpositionally related inputs."""
-    best = pcs.members
-    for t in range(1, pcs.edo):
-        candidate = tuple(sorted((x + t) % pcs.edo for x in pcs.members))
-        if candidate < best:
-            best = candidate
-    return SetClass(pcs.edo, PitchClassSet(pcs.edo, best))
+    """Set class of ``pcs``: equal outputs exactly for transpositionally related inputs.
+
+    The least transposition starts at 0, so it carries some member to 0, and
+    its members are the prefix sums of the cyclic steps read from that member.
+    Those prefix sums order as the step sequences do, so the representative
+    accumulates the least rotation of the steps, which begins with a least step.
+    """
+    members = pcs.members
+    if members:
+        steps = _steps(members, pcs.edo)
+        k, low, twice = len(steps), min(steps), steps + steps
+        least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
+        members = (0, *accumulate(least[:-1]))
+    return SetClass(pcs.edo, PitchClassSet(pcs.edo, members))
 
 
 def _class_from_mask(edo: int, mask: int) -> SetClass:
@@ -120,8 +142,8 @@ def enumerate_set_classes(edo: int, cap: int = MAX_EDO) -> list[SetClass]:
         raise ValueError(f"edo {edo} outside supported range 1..{cap}")
     canon = _kernels.canonical_masks(edo)
     orbit_masks = np.unique(canon)
-    classes = [_class_from_mask(edo, int(m)) for m in orbit_masks]
-    classes.sort(key=lambda c: c.rep.members)
+    classes = [_class_from_mask(edo, m) for m in orbit_masks.tolist()]
+    classes.sort(key=attrgetter("rep.members"))
     return classes
 
 
@@ -158,10 +180,11 @@ def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
             raise ValueError("all classes must share an edo")
     masks = np.array([c.mask for c in classes], dtype=np.int64)
     table = _kernels.subset_leq_matrix(masks, edo)
+    table.setflags(write=False)  # so the relation adopts it without a copy
     return FiniteRelation(len(classes), table, tuple(str(c) for c in classes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanProfile:
     """Cyclic step spans of a nonempty class: adjacent and next-but-one."""
 
@@ -181,18 +204,10 @@ def span_profile(pcs: PitchClassSet | SetClass) -> SpanProfile:
     other representatives give a cyclic rotation of the same profile.
     """
     source = pcs.rep if isinstance(pcs, SetClass) else pcs
-    members = source.members
-    n = len(members)
-    if n == 0:
+    if not source.members:
         raise ValueError("span profile of the empty set is undefined")
-    edo = source.edo
-    if n == 1:
-        seconds: tuple[int, ...] = (edo,)
-    else:
-        steps = [members[i + 1] - members[i] for i in range(n - 1)]
-        steps.append(members[0] + edo - members[-1])  # wrap past the octave
-        seconds = tuple(steps)
-    thirds = tuple(seconds[i] + seconds[(i + 1) % n] for i in range(n))
+    seconds = _steps(source.members, source.edo)
+    thirds = tuple(map(add, seconds, seconds[1:] + seconds[:1]))
     return SpanProfile(seconds, thirds)
 
 

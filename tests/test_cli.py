@@ -158,6 +158,30 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert "error: family of 351 classes exceeds" in result.output
 
+    def test_counterexample_n_above_harmonic_cap_exit_one(self, runner):
+        result = runner.invoke(main, ["timbre", "counterexample", "--n", "100000"])
+        assert result.exit_code == 1
+        assert "error: n must be at least 2 and at most 1024" in result.output
+
+    @pytest.mark.parametrize("command, option", [
+        ("compare", "--tol"), ("hasse", "--tol"), ("counterexample", "--gap-tol"),
+        ("submajorize", "--tol"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exit_one(self, runner, command, option, value):
+        horn = str(fixture_dir() / "synthetic_horn.csv")
+        args = {
+            "compare": ["timbre", "compare", horn, horn],
+            "hasse": ["timbre", "hasse", str(fixture_dir())],
+            "counterexample": ["timbre", "counterexample", "--trials", "5"],
+            "submajorize": ["submajorize", str(DATA / "submajorize_a.json"),
+                            str(DATA / "submajorize_b.json")],
+        }[command]
+        result = runner.invoke(main, [*args, option, value, "--format", "json"])
+        assert result.exit_code == 1
+        assert f"must be finite, got {float(value)}" in result.output
+        assert result.output.startswith("error:")
+
     def test_usage_error_exit_two(self, runner):
         result = runner.invoke(main, ["setclass", "minimal", "--edo", "12", "--bogus"])
         assert result.exit_code == 2

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qorder import design
 from qorder.design import (
     DesignProblem,
     DesignStatus,
@@ -16,6 +17,7 @@ from qorder.design import (
     to_lp,
 )
 from qorder.orders import Comparison
+from qorder.spectra import MAX_HARMONICS
 from qorder.timbre import (
     TimbralVector,
     brightness_compare,
@@ -272,3 +274,14 @@ class TestCounterexampleSearch:
             counterexample_search(4, 0, seed=1)
         with pytest.raises(ValueError, match="n must be"):
             counterexample_search(1, 10, seed=1)
+
+    def test_bounds_checked_before_allocating(self, monkeypatch):
+        def no_allocation(n):
+            raise AssertionError("search system built for a rejected search")
+
+        monkeypatch.setattr(design, "_search_system", no_allocation)
+        with pytest.raises(ValueError, match=f"at most {MAX_HARMONICS}, got {MAX_HARMONICS + 1}"):
+            counterexample_search(MAX_HARMONICS + 1, 10, seed=1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="gap_tol must be finite"):
+                counterexample_search(3, 10, seed=1, gap_tol=bad)

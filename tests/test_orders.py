@@ -149,6 +149,45 @@ class TestActionProperties:
         assert props.increasing and props.transverse
 
 
+class TestFiniteRelationTable:
+    def test_writeable_input_is_copied(self):
+        table = np.eye(3, dtype=bool)
+        rel = FiniteRelation(3, table)
+        table[0, 1] = True
+        assert not rel.holds[0, 1]
+        assert not rel.holds.flags.writeable
+
+    def test_read_only_bool_table_is_adopted(self):
+        table = np.eye(3, dtype=bool)
+        table.setflags(write=False)
+        assert FiniteRelation(3, table).holds is table
+        assert FiniteRelation(3, table.T).holds.base is table
+
+    def test_read_only_view_of_writeable_table_is_copied(self):
+        table = np.eye(3, dtype=bool)
+        view = table.view()
+        view.setflags(write=False)
+        rel = FiniteRelation(3, view)
+        table[0, 1] = True
+        assert not rel.holds[0, 1]
+
+    def test_read_only_table_over_a_writeable_buffer_is_copied(self):
+        buffer = bytearray(np.eye(3, dtype=bool).tobytes())
+        flat = np.frombuffer(buffer, dtype=bool)
+        flat.setflags(write=False)
+        table = flat.reshape(3, 3)
+        rel = FiniteRelation(3, table)
+        buffer[1] = 1
+        assert not rel.holds[0, 1]
+
+    def test_read_only_non_bool_table_is_copied(self):
+        table = np.eye(3, dtype=np.int8)
+        table.setflags(write=False)
+        rel = FiniteRelation(3, table)
+        assert rel.holds.dtype == bool
+        assert rel.holds.tolist() == np.eye(3, dtype=bool).tolist()
+
+
 class TestRelationAxioms:
     def test_equality_relation(self):
         rel = FiniteRelation(3, np.eye(3, dtype=bool))

@@ -1,7 +1,11 @@
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorder import _kernels, setclass
 from qorder.orders import relation_axioms
@@ -35,6 +39,25 @@ def cls(edo, members):
     return canonical_form(pcs(edo, members))
 
 
+def rotate_and_sort(p):
+    """Reference canonical members: the least sorted transposition, tried one by one."""
+    best = p.members
+    for t in range(1, p.edo):
+        candidate = tuple(sorted((x + t) % p.edo for x in p.members))
+        if candidate < best:
+            best = candidate
+    return best
+
+
+@st.composite
+def pitch_class_sets(draw):
+    edo = draw(st.integers(1, 24))
+    return PitchClassSet.from_mask(edo, draw(st.integers(0, (1 << edo) - 1)))
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
 class TestPitchClassSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -44,9 +67,29 @@ class TestPitchClassSet:
         with pytest.raises(ValueError, match="duplicate"):
             PitchClassSet(12, (0, 0, 4))
 
+    @pytest.mark.parametrize("members, message", [
+        ((4, 0, 4), "duplicate pitch classes in (0, 4, 4)"),
+        ((5, -3, -1), "pitch class -3 out of range for edo 12"),
+        ((15, 0, 13, 12), "pitch class 12 out of range for edo 12"),
+    ])
+    def test_error_texts(self, members, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PitchClassSet(12, members)
+
+    def test_members_sorted_ints(self):
+        a = PitchClassSet(12, (np.int64(7), 4.0, 0))
+        assert a.members == (0, 4, 7)
+        assert all(type(x) is int for x in a.members)
+
     def test_mask_round_trip(self):
         a = pcs(12, (0, 4, 7))
         assert PitchClassSet.from_mask(12, a.mask) == a
+
+    def test_from_mask_ignores_bits_above_edo(self):
+        assert PitchClassSet.from_mask(5, 0b1100001).members == (0,)
+        assert PitchClassSet.from_mask(5, -1).members == (0, 1, 2, 3, 4)
+        with pytest.raises(ValueError, match="edo must be at least 1"):
+            PitchClassSet.from_mask(-1, 3)
 
 
 class TestCanonicalForm:
@@ -72,6 +115,26 @@ class TestCanonicalForm:
             tuple(sorted((x + t) % 12 for x in a.members)) for t in range(12)
         )
         assert cls(12, a.members).rep.members == rotations[0]
+
+    def test_matches_rotate_and_sort_exhaustive(self):
+        for edo in range(1, 15):
+            for mask in range(1 << edo):
+                p = PitchClassSet.from_mask(edo, mask)
+                assert canonical_form(p).rep.members == rotate_and_sort(p), (edo, mask)
+
+    @PROPERTY
+    @given(pitch_class_sets(), st.integers(-30, 30))
+    def test_transposition_invariant(self, p, t):
+        assert canonical_form(p.transpose(t)) == canonical_form(p)
+
+    @PROPERTY
+    @given(pitch_class_sets())
+    def test_idempotent_and_starts_at_zero(self, p):
+        c = canonical_form(p)
+        assert canonical_form(c.rep) == c
+        assert c.cardinality == p.cardinality
+        if p.members:
+            assert c.rep.members[0] == 0
 
     def test_invariance_exhaustive_small(self):
         for edo in range(1, 8):
@@ -155,6 +218,18 @@ class TestClassLeq:
         axioms = relation_axioms(rel)
         assert axioms.partial_order
 
+    def test_subset_order_holds_one_table(self):
+        classes = span_limited_classes(18, 3)
+        count = len(classes)
+        tracemalloc.start()
+        try:
+            rel = subset_order(classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.size == count
+        assert peak < count * count + (4 << 20)
+
     def test_subset_order_family_limit(self, monkeypatch):
         classes = enumerate_set_classes(6)
         monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", len(classes))
@@ -221,6 +296,18 @@ class TestSpanProfile:
         for c in enumerate_set_classes(9):
             if c.cardinality:
                 assert sum(span_profile(c).seconds) == 9
+
+    @PROPERTY
+    @given(pitch_class_sets(), st.integers(-30, 30))
+    def test_transposed_profile_is_a_rotation(self, p, t):
+        if not p.members:
+            return
+        base, moved = span_profile(p), span_profile(p.transpose(t))
+        assert any(
+            moved.seconds == base.seconds[i:] + base.seconds[:i]
+            and moved.thirds == base.thirds[i:] + base.thirds[:i]
+            for i in range(len(base.seconds))
+        )
 
     def test_thirds_are_adjacent_sums(self):
         for c in enumerate_set_classes(8):
