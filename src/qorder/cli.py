@@ -44,6 +44,8 @@ def _domain_errors(func):
 def _check_tol(tol: float) -> None:
     if not math.isfinite(tol):
         raise ValueError(f"--tol must be finite, got {tol}")
+    if tol < 0:
+        raise ValueError(f"--tol must be nonnegative, got {tol}")
 
 
 def _default_seed() -> int:

@@ -12,20 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .orders import Comparison
-from .simplex import (
-    LPResult,
-    LPStandardForm,
-    LPStatus,
-    equality_form,
-    iteration_budget,
-    lp_solve,
-)
+from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
 from .spectra import MAX_HARMONICS
 from .timbre import TimbralVector, brightness_compare, infimum, suffix_profile
 
@@ -142,6 +133,21 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     return _solution_from_result(problem.n, lp_solve(to_lp(problem)))
 
 
+def closest_to_target_optimum(target: TimbralVector, bound: TimbralVector) -> float:
+    """Optimum of the closest-to-target LP in closed form: 2D, where
+    D = max_k (S(p)_k - S(b)_k)_+ over the suffix profiles S of p and b.
+
+    Lower bound: x and p both sum to one, so for every k and every feasible x,
+    ||x - p||_1 >= 2 (S(p)_k - S(x)_k) >= 2 (S(p)_k - S(b)_k).
+    Attained: moving mass D from the top harmonics of p down to the
+    fundamental costs 2D and leaves S(x)_k = max(S(p)_k - D, 0) <= S(b)_k, k < n.
+    """
+    if target.n != bound.n:
+        raise ValueError(f"target has {target.n} harmonics, bound has {bound.n}")
+    excess = float(np.max(suffix_profile(target) - suffix_profile(bound)))
+    return 2.0 * max(excess, 0.0)
+
+
 def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     """Among minimisers of the distance to the target, get closest to the bound.
 
@@ -177,52 +183,6 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     x = TimbralVector(result.x[:n])
     return DesignSolution(
         x, float(np.abs(x.power - problem.target.power).sum()), DesignStatus.OPTIMAL
-    )
-
-
-def _simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All probability vectors of length n on the grid with the given steps."""
-    if n == 1:
-        return np.array([[float(steps)]]) / steps
-    out = []
-    if n == 2:
-        for i in range(steps + 1):
-            out.append((i, steps - i))
-    elif n == 3:
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                out.append((i, j, steps - i - j))
-    else:
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                for k in range(steps + 1 - i - j):
-                    out.append((i, j, k, steps - i - j - k))
-    return np.asarray(out, dtype=float) / steps
-
-
-def oracle_solve(problem: DesignProblem, resolution: float) -> DesignSolution:
-    """Exhaustive grid search over the simplex; verification use only.
-
-    The feasible set always contains the grid point putting all power in the
-    fundamental, so a point is always returned.  The returned objective can
-    exceed the LP optimum by at most n * resolution.
-    """
-    if problem.n > 4:
-        raise ValueError("grid oracle supports n <= 4 only")
-    if resolution not in (0.01, 0.02, 0.05):
-        raise ValueError("resolution must be one of 0.01, 0.02, 0.05")
-    steps = round(1.0 / resolution)
-    grid = _simplex_grid(problem.n, steps)
-    profiles = np.cumsum(grid[:, ::-1], axis=1)
-    bound_profile = suffix_profile(problem.bound)
-    feasible = np.all(profiles <= bound_profile + 1e-12, axis=1)
-    points = grid[feasible]
-    cost = np.abs(points - problem.target.power).sum(axis=1)
-    if problem.variant is Variant.BI_OBJECTIVE:
-        cost = cost + np.abs(points - problem.bound.power).sum(axis=1)
-    best = int(np.argmin(cost))
-    return DesignSolution(
-        TimbralVector(points[best]), float(cost[best]), DesignStatus.OPTIMAL
     )
 
 
@@ -262,31 +222,6 @@ class SearchReport:
         return self.objective_at_infimum - self.lp_objective
 
 
-@lru_cache(maxsize=None)
-def _search_system(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Equality system (a, c, max_iter) of the closest-to-target LP.
-
-    It is ``to_lp`` of one instance with a positive target, in the form
-    ``lp_solve`` hands to the kernel.  Its rows are x - u + s = p,
-    x + u - s' = p (the negated -p row), suffix rows + s'' = Hb and
-    sum x = 1; for any probability-vector data only the right-hand side
-    (p, p, Hb, 1) changes.
-    """
-    uniform = TimbralVector(np.full(n, 1.0 / n))
-    a, _, c = equality_form(to_lp(DesignProblem(uniform, uniform)))
-    return a, c, iteration_budget(a)
-
-
-def _fast_closest_solve(p: np.ndarray, bound_profile: np.ndarray) -> np.ndarray | None:
-    n = p.size
-    a, c, max_iter = _search_system(n)
-    b = np.concatenate([p, p, bound_profile, [1.0]])
-    code, v = _kernels.simplex_solve(a, b, c, 1e-9, max_iter)
-    if int(code) != _kernels.SIMPLEX_OPTIMAL:
-        return None
-    return v[:n]
-
-
 def counterexample_search(
     n: int, trials: int, seed: int, gap_tol: float = 1e-4
 ) -> SearchReport:
@@ -294,8 +229,11 @@ def counterexample_search(
     instance where the dominance infimum of bound and target is farther from
     the target than the LP optimum by more than ``gap_tol``.
 
-    Stops at the first hit; reports not-found when the budget runs out, which
-    is inconclusive rather than a refutation.
+    Each trial is decided against the closed-form optimum; a hit is certified
+    by one ``solve_design``, whose objective is reported, and a disagreement
+    between the two raises RuntimeError.  Stops at the first hit; reports
+    not-found when the budget runs out, which is inconclusive rather than a
+    refutation.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -303,30 +241,32 @@ def counterexample_search(
         raise ValueError(f"n must be at least 2 and at most {MAX_HARMONICS}, got {n}")
     if not math.isfinite(gap_tol):
         raise ValueError(f"gap_tol must be finite, got {gap_tol}")
+    if gap_tol < 0:
+        raise ValueError(f"gap_tol must be nonnegative, got {gap_tol}")
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        p = rng.dirichlet(np.ones(n))
-        b = rng.dirichlet(np.ones(n))
-        tp = TimbralVector(p)
-        tb = TimbralVector(b)
+        tp = TimbralVector(rng.dirichlet(np.ones(n)))
+        tb = TimbralVector(rng.dirichlet(np.ones(n)))
         z = infimum(tb, tp)
         objective_z = float(np.abs(z.power - tp.power).sum())
-        x = _fast_closest_solve(tp.power, suffix_profile(tb))
-        if x is None:
+        optimum = closest_to_target_optimum(tp, tb)
+        if objective_z - optimum <= gap_tol:
             continue
-        lp_objective = float(np.abs(x - tp.power).sum())
-        if objective_z - lp_objective > gap_tol:
-            return SearchReport(
-                n=n,
-                trials=trials,
-                seed=seed,
-                gap_tol=gap_tol,
-                found=True,
-                trial_index=trial,
-                target=tp.power,
-                bound=tb.power,
-                infimum_point=z.power,
-                objective_at_infimum=objective_z,
-                lp_objective=lp_objective,
-            )
+        solution = solve_design(DesignProblem(tp, tb))
+        if solution.status is not DesignStatus.OPTIMAL or abs(solution.objective - optimum) > 1e-9:
+            raise RuntimeError(f"trial {trial}: the LP gives {solution.status.value} objective "
+                               f"{solution.objective!r}, the closed form {optimum!r}")
+        return SearchReport(
+            n=n,
+            trials=trials,
+            seed=seed,
+            gap_tol=gap_tol,
+            found=True,
+            trial_index=trial,
+            target=tp.power,
+            bound=tb.power,
+            infimum_point=z.power,
+            objective_at_infimum=objective_z,
+            lp_objective=solution.objective,
+        )
     return SearchReport(n=n, trials=trials, seed=seed, gap_tol=gap_tol, found=False)

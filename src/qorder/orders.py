@@ -32,8 +32,11 @@ class Comparison(enum.Enum):
 def componentwise_verdict(u: np.ndarray, v: np.ndarray, tol: float) -> Comparison:
     """Compare two vectors under the component-wise order with tolerance ``tol``.
 
-    Both directions holding within tolerance is reported as EQUAL.
+    Both directions holding within tolerance is reported as EQUAL.  A
+    negative or NaN ``tol`` raises ValueError: it would break reflexivity.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     le = bool(np.all(u <= v + tol))
     ge = bool(np.all(v <= u + tol))
     if le and ge:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import add, attrgetter
+from operator import add, attrgetter, index
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,12 @@ class PitchClassSet:
     def __post_init__(self) -> None:
         if self.edo < 1:
             raise ValueError("edo must be at least 1")
-        members = tuple(sorted(map(int, self.members)))
+        try:
+            members = tuple(sorted(map(index, self.members)))
+        except TypeError:  # an integral float, such as 4.0, is accepted
+            if not all(float(x).is_integer() for x in self.members):
+                raise ValueError(f"pitch classes must be integers, got {self.members}") from None
+            members = tuple(sorted(map(int, self.members)))
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate pitch classes in {members}")
         if members and (members[0] < 0 or members[-1] >= self.edo):
@@ -240,10 +245,10 @@ def thirds_criterion_holds(edo: int, max_second: int) -> bool:
     """Check that the minimal bounded-step classes are exactly those whose
     two-step spans all exceed the step bound."""
     family = span_limited_classes(edo, max_second)
-    minimal = set(span_limited_minimal(edo, max_second))
-    for cls in family:
+    minimal = minimal_elements(subset_order(family), range(len(family)))
+    for i, cls in enumerate(family):
         predicted = span_profile(cls).min_third >= max_second + 1
-        if predicted != (cls in minimal):
+        if predicted != (i in minimal):
             return False
     return True
 

@@ -109,6 +109,19 @@ class TestTimbreCommands:
                                  "--seed", "0"])
         assert output.startswith("found at trial 18")
 
+    def test_counterexample_matches_committed_instance(self, runner):
+        output = run_ok(runner, ["timbre", "counterexample", "--n", "4", "--seed", "0",
+                                 "--format", "json"])
+        report = json.loads(output)
+        committed = json.loads((DATA / "infimum_gap_n4.json").read_text())
+        assert report["found"]
+        assert report["trial_index"] == committed["trial_index"] == 18
+        for key in ("target", "bound", "infimum"):
+            assert len(report[key]) == len(committed[key]) == 4
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(report[key], committed[key]))
+        for key in ("objective_at_infimum", "lp_objective", "gap"):
+            assert abs(report[key] - committed[key]) <= 1e-12
+
     def test_seed_env_default(self, runner):
         with_env = runner.invoke(
             main,
@@ -167,7 +180,7 @@ class TestErrorPaths:
         ("compare", "--tol"), ("hasse", "--tol"), ("counterexample", "--gap-tol"),
         ("submajorize", "--tol"),
     ])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_tolerance_exit_one(self, runner, command, option, value):
         horn = str(fixture_dir() / "synthetic_horn.csv")
         args = {
@@ -179,7 +192,10 @@ class TestErrorPaths:
         }[command]
         result = runner.invoke(main, [*args, option, value, "--format", "json"])
         assert result.exit_code == 1
-        assert f"must be finite, got {float(value)}" in result.output
+        problem = "nonnegative" if value == "-1" else "finite"
+        assert f"must be {problem}, got {float(value)}" in result.output
+        if option == "--tol":  # refused by the CLI, before any file is read
+            assert f"--tol must be {problem}" in result.output
         assert result.output.startswith("error:")
 
     def test_usage_error_exit_two(self, runner):

@@ -7,10 +7,11 @@ import pytest
 from qorder import design
 from qorder.design import (
     DesignProblem,
+    DesignSolution,
     DesignStatus,
     Variant,
+    closest_to_target_optimum,
     counterexample_search,
-    oracle_solve,
     solution_no_brighter_than_target,
     solve_closest_to_bound,
     solve_design,
@@ -26,9 +27,13 @@ from qorder.timbre import (
     tv_distance,
 )
 
+from reference_design import grid_solve
 from structures import random_simplex
 
 DATA = Path(__file__).parent / "data"
+
+# random instances per harmonic count for the closed-form checks, 204 in all
+CLOSED_FORM_INSTANCES = {2: 60, 3: 60, 4: 40, 8: 30, 16: 10, 64: 4}
 
 
 def tv(*power):
@@ -176,20 +181,49 @@ class TestSolveClosestToBound:
             solve_closest_to_bound(problem([1.0], [1.0], Variant.BI_OBJECTIVE))
 
 
+class TestClosedForms:
+    """The LP optima against the suffix-profile formulas.  With
+    D = max_k (S(p)_k - S(b)_k)_+, l1min is 2D, l1min2 is ||p - b||_1 and the
+    closest-to-bound point is at most ||p - b||_1 - 2D from the bound."""
+
+    def test_known_values(self):
+        assert closest_to_target_optimum(tv(0.2, 0.2, 0.6), tv(0.6, 0.2, 0.2)) == pytest.approx(0.8)
+        # a bound brighter than the target leaves the target feasible
+        assert closest_to_target_optimum(tv(0.6, 0.2, 0.2), tv(0.2, 0.2, 0.6)) == 0.0
+        assert closest_to_target_optimum(tv(0.3, 0.7), tv(0.3, 0.7)) == 0.0
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="harmonics"):
+            closest_to_target_optimum(tv(0.5, 0.5), tv(0.2, 0.2, 0.6))
+
+    @pytest.mark.parametrize("n", sorted(CLOSED_FORM_INSTANCES))
+    def test_lp_matches_closed_forms(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(CLOSED_FORM_INSTANCES[n]):
+            prob = random_problem(rng, n)
+            optimum = closest_to_target_optimum(prob.target, prob.bound)
+            direct = float(np.abs(prob.target.power - prob.bound.power).sum())
+            assert abs(solve_design(prob).objective - optimum) <= 1e-9
+            bi = solve_design(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE))
+            assert abs(bi.objective - direct) <= 1e-9
+            x = solve_closest_to_bound(prob).x.power
+            assert float(np.abs(x - prob.bound.power).sum()) <= direct - optimum + 1e-8
+
+
 class TestOracle:
     def test_target_equal_bound(self):
-        sol = oracle_solve(problem([0.3, 0.3, 0.4], [0.3, 0.3, 0.4]), 0.02)
+        sol = grid_solve(problem([0.3, 0.3, 0.4], [0.3, 0.3, 0.4]), 0.02)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_three_harmonic_instance(self):
-        sol = oracle_solve(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2]), 0.01)
+        sol = grid_solve(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2]), 0.01)
         assert sol.objective == pytest.approx(0.8, abs=0.03)
 
     def test_always_returns_a_point(self):
         rng = np.random.default_rng(104)
         for _ in range(10):
             prob = random_problem(rng, 4)
-            sol = oracle_solve(prob, 0.05)
+            sol = grid_solve(prob, 0.05)
             assert sol.status is DesignStatus.OPTIMAL
 
     def test_guards(self):
@@ -197,9 +231,9 @@ class TestOracle:
             TimbralVector(np.full(5, 0.2)), TimbralVector(np.full(5, 0.2))
         )
         with pytest.raises(ValueError, match="n <= 4"):
-            oracle_solve(prob5, 0.05)
+            grid_solve(prob5, 0.05)
         with pytest.raises(ValueError, match="resolution"):
-            oracle_solve(problem([1.0], [1.0]), 0.3)
+            grid_solve(problem([1.0], [1.0]), 0.3)
 
     def test_oracle_vs_lp_gap(self):
         rng = np.random.default_rng(105)
@@ -207,7 +241,7 @@ class TestOracle:
             for _ in range(runs):
                 prob = random_problem(rng, n)
                 lp = solve_design(prob)
-                grid = oracle_solve(prob, 0.01)
+                grid = grid_solve(prob, 0.01)
                 assert lp.objective <= grid.objective + 1e-9
                 assert grid.objective - lp.objective <= n * 0.01
 
@@ -276,12 +310,50 @@ class TestCounterexampleSearch:
             counterexample_search(1, 10, seed=1)
 
     def test_bounds_checked_before_allocating(self, monkeypatch):
-        def no_allocation(n):
-            raise AssertionError("search system built for a rejected search")
+        def no_trial(*args):
+            raise AssertionError("trial run for a rejected search")
 
-        monkeypatch.setattr(design, "_search_system", no_allocation)
+        monkeypatch.setattr(design, "infimum", no_trial)
         with pytest.raises(ValueError, match=f"at most {MAX_HARMONICS}, got {MAX_HARMONICS + 1}"):
             counterexample_search(MAX_HARMONICS + 1, 10, seed=1)
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="gap_tol must be finite"):
                 counterexample_search(3, 10, seed=1, gap_tol=bad)
+        with pytest.raises(ValueError, match="gap_tol must be nonnegative, got -1.0"):
+            counterexample_search(3, 10, seed=1, gap_tol=-1.0)
+
+    def test_one_lp_per_hit(self, monkeypatch):
+        solves = []
+        solve = design.lp_solve
+
+        def record(lp, *args, **kwargs):
+            solves.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(design, "lp_solve", record)
+        assert not counterexample_search(3, 200, seed=0).found
+        assert solves == []
+        assert counterexample_search(4, 10_000, seed=0).trial_index == 18
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("certificate", [
+        lambda sol: DesignSolution(sol.x, sol.objective + 1e-6, sol.status),
+        lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE),
+    ], ids=["wrong-objective", "not-optimal"])
+    def test_certificate_disagreement_raises(self, monkeypatch, certificate):
+        monkeypatch.setattr(design, "solve_design", lambda problem: certificate(solve_design(problem)))
+        with pytest.raises(RuntimeError, match="trial 18: "):
+            counterexample_search(4, 100, seed=0)
+
+    # the closed-form decision finds the instances an LP per trial finds, with the same numbers
+    @pytest.mark.parametrize("n, seed, trial, gap, lp_objective", [
+        (4, 0, 18, 0.6207650299699017, 0.6844846458143048),
+        (4, 3, 9, 0.03728182889775433, 0.1307037328929999),
+        (5, 1, 8, 0.03956629606723472, 0.6503490204143125),
+        (4, 5, 41, 0.08246726350066069, 0.7885385166303649),
+    ])
+    def test_first_hits(self, n, seed, trial, gap, lp_objective):
+        report = counterexample_search(n, 10_000, seed)
+        assert report.trial_index == trial
+        assert report.gap == pytest.approx(gap, abs=1e-12)
+        assert report.lp_objective == pytest.approx(lp_objective, abs=1e-12)

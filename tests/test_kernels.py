@@ -65,16 +65,6 @@ class TestSimplexMatchesLoopOracle:
             a, b, c = equality_form(lp)
             assert assert_same_solve(a, b, c) == _kernels.SIMPLEX_OPTIMAL
 
-    def test_search_systems(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 4, 8):
-            a, c, max_iter = design._search_system(n)
-            for _ in range(25):
-                p = random_simplex(rng, n)
-                profile = np.cumsum(random_simplex(rng, n)[::-1])
-                b = np.concatenate([p, p, profile, [1.0]])
-                assert_same_solve(a, b, c, max_iter=max_iter)
-
     def test_random_general_lps(self):
         # small integer data makes degenerate vertices and exact ratio ties
         rng = np.random.default_rng(11)

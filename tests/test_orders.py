@@ -318,6 +318,12 @@ class TestSubmajorize:
         with pytest.raises(ValueError, match="mismatch"):
             submajorize_compare([1], [1, 2])
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            submajorize_compare([1, 2], [1, 2], tol)
+        assert submajorize_compare([1, 2], [1, 2], 0.0) is Comparison.EQUAL
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

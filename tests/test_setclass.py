@@ -81,6 +81,20 @@ class TestPitchClassSet:
         assert a.members == (0, 4, 7)
         assert all(type(x) is int for x in a.members)
 
+    @pytest.mark.parametrize("member", [0.5, 4.7, float("inf"), float("nan")])
+    def test_rejects_non_integer_members(self, member):
+        with pytest.raises(ValueError, match="pitch classes must be integers"):
+            PitchClassSet(12, (0, member))
+        with pytest.raises(ValueError, match="pitch classes must be integers"):
+            class_from_json({"edo": 12, "members": [member, 7]})
+
+    def test_accepts_numpy_ints(self):
+        a = PitchClassSet(12, (np.int64(7), np.int32(4), np.uint8(0)))
+        assert a.members == (0, 4, 7)
+        assert all(type(x) is int for x in a.members)
+        blob = {"edo": 12, "members": [np.int64(4), np.int64(0)]}
+        assert class_to_json(class_from_json(blob)) == {"edo": 12, "members": [0, 4]}
+
     def test_mask_round_trip(self):
         a = pcs(12, (0, 4, 7))
         assert PitchClassSet.from_mask(12, a.mask) == a

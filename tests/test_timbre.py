@@ -60,10 +60,20 @@ class TestBrightnessCompare:
         assert brightness_compare(tv(0.5, 0.0, 0.5), tv(0.0, 1.0, 0.0)) is Comparison.INCOMPARABLE
         a = tv(0.3, 0.3, 0.4)
         assert brightness_compare(a, a) is Comparison.EQUAL
+        assert brightness_compare(a, a, 0.0) is Comparison.EQUAL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             brightness_compare(tv(1.0), tv(0.5, 0.5))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, tol):
+        # at a negative tol a timbre would not equal itself
+        a = tv(0.3, 0.3, 0.4)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            brightness_compare(a, a, tol)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            h_compare(brightness_matrix(3), a, a, tol)
 
     def test_order_axioms_randomized(self):
         rng = np.random.default_rng(6)
@@ -97,6 +107,7 @@ class TestHCompare:
     def test_identity_matrix_gives_componentwise(self):
         h = np.eye(3)
         assert h_compare(h, tv(0.2, 0.3, 0.5), tv(0.2, 0.3, 0.5)) is Comparison.EQUAL
+        assert h_compare(h, tv(0.2, 0.3, 0.5), tv(0.2, 0.3, 0.5), 0.0) is Comparison.EQUAL
         assert h_compare(h, tv(0.2, 0.3, 0.5), tv(0.5, 0.3, 0.2)) is Comparison.INCOMPARABLE
 
     def test_two_by_two_oracle(self):
