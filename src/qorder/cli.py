@@ -7,6 +7,7 @@ randomized search.  All output is deterministic given flags and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -309,16 +310,8 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
             "orbits": [list(o) for o in strong.orbits],
             "increasing": props.increasing,
             "transverse": props.transverse,
-            "strong": {
-                "reflexive": strong_axioms.reflexive,
-                "antisymmetric": strong_axioms.antisymmetric,
-                "transitive": strong_axioms.transitive,
-            },
-            "weak": {
-                "reflexive": weak_axioms.reflexive,
-                "antisymmetric": weak_axioms.antisymmetric,
-                "transitive": weak_axioms.transitive,
-            },
+            "strong": dataclasses.asdict(strong_axioms),
+            "weak": dataclasses.asdict(weak_axioms),
             "strong_equals_weak": same,
             "diagnostics": diagnostics,
         })
@@ -327,12 +320,8 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
                                          for i in range(len(strong.orbits))))
         click.echo(f"increasing: {str(props.increasing).lower()}")
         click.echo(f"transverse: {str(props.transverse).lower()}")
-        click.echo(
-            "strong axioms: "
-            f"reflexive={str(strong_axioms.reflexive).lower()} "
-            f"antisymmetric={str(strong_axioms.antisymmetric).lower()} "
-            f"transitive={str(strong_axioms.transitive).lower()}"
-        )
+        axioms = dataclasses.asdict(strong_axioms).items()
+        click.echo("strong axioms: " + " ".join(f"{k}={str(v).lower()}" for k, v in axioms))
         click.echo(f"strong equals weak: {str(same).lower()}")
 
 

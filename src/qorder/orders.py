@@ -2,7 +2,7 @@
 
 The ground set is always an explicit index set ``0..size-1``.  A relation is a
 dense boolean table; a group action is an explicit list of permutations that
-must contain the identity and be closed under composition and inverse.  The
+must contain the identity and be closed under composition.  The
 quotient machinery builds the universal ("strong") and existential ("weak")
 relations on the orbit space and checks the axioms that decide when those are
 genuine orders.
@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# largest ground set read from JSON; order check at this size peaked near 1 GB resident
+MAX_GROUND_SIZE = 8192
 
 
 class Comparison(enum.Enum):
@@ -134,58 +137,76 @@ class GroupAction:
     """A finite permutation group acting on ``0..size-1``.
 
     Construction fails unless the permutation list contains the identity and
-    is closed under composition and inverse.
+    is closed under composition, which makes a finite set a group.
     """
 
     size: int
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        normalized = []
-        for perm in self.perms:
-            p = tuple(int(x) for x in perm)
-            if sorted(p) != list(range(self.size)):
-                raise ValueError(f"{p} is not a permutation of 0..{self.size - 1}")
-            if p not in seen:
-                seen.add(p)
-                normalized.append(p)
-        normalized.sort()
-        identity = tuple(range(self.size))
-        if identity not in seen:
+        listed = np.unique(_permutation_array(self.size, self.perms), axis=0)
+        allowed = set(map(bytes, listed))
+        generated = {bytes(np.arange(self.size, dtype=listed.dtype))}
+        if not generated <= allowed:
             raise ValueError("action must contain the identity permutation")
-        for p in normalized:
-            inv = tuple(int(x) for x in np.argsort(p))
-            if inv not in seen:
-                raise ValueError(f"action is not closed under inverse: {p}")
-            for q in normalized:
-                comp = tuple(p[q[i]] for i in range(self.size))
-                if comp not in seen:
-                    raise ValueError(f"action is not closed under composition: {p} o {q}")
-        object.__setattr__(self, "perms", tuple(normalized))
+        # every listed permutation not generated yet becomes a generator; the
+        # subgroup at least doubles each time, so there are log|G| re-closures
+        gens: list[int] = []
+        for i, perm in enumerate(listed):
+            if bytes(perm) not in generated:
+                gens.append(i)
+                generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
+        object.__setattr__(self, "perms", tuple(map(tuple, listed.tolist())))
 
     @classmethod
     def from_generators(
         cls, size: int, generators: Iterable[Sequence[int]], cap: int = 100_000
     ) -> "GroupAction":
         """Close a generator set under composition (identity added automatically)."""
-        identity = tuple(range(size))
-        gens = [tuple(int(x) for x in g) for g in generators]
-        members = {identity}
-        frontier = [identity]
-        while frontier:
-            current = frontier.pop()
-            for g in gens:
-                nxt = tuple(g[current[i]] for i in range(size))
-                if nxt not in members:
-                    members.add(nxt)
-                    frontier.append(nxt)
-                    if len(members) > cap:
-                        raise ValueError(f"group closure exceeded cap of {cap} elements")
-        return cls(size, tuple(sorted(members)))
+        members = _closure(_permutation_array(size, generators), cap=cap)
+        return cls(size, tuple(map(tuple, members.tolist())))
 
     def __len__(self) -> int:
         return len(self.perms)
+
+
+def _permutation_array(size: int, perms: Iterable[Sequence[int]]) -> np.ndarray:
+    """The (m, size) array of ``perms``; ValueError unless each permutes 0..size-1."""
+    rows = [[int(x) for x in perm] for perm in perms]
+    for row in rows:
+        if sorted(row) != list(range(size)):
+            raise ValueError(f"{tuple(row)} is not a permutation of 0..{size - 1}")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), size)
+
+
+def _closure(gens: np.ndarray, allowed: set[bytes] | None = None, cap: int | None = None) -> np.ndarray:
+    """The group generated by the rows of the (k, size) array ``gens``, as a (G, size) array.
+
+    Breadth first from the identity: each level composes every generator
+    after each element found by the level before.  A composite whose key is
+    not in ``allowed`` raises, and so does a group larger than ``cap``.
+    """
+    size = gens.shape[1]
+    frontier = np.arange(size, dtype=gens.dtype)[None, :]
+    seen = {bytes(frontier[0])}
+    levels = [frontier]
+    while len(frontier):
+        # products[j * F + f] = gens[j] o frontier[f]
+        products = gens[:, frontier].reshape(len(gens) * len(frontier), size)
+        fresh = []
+        for r, key in enumerate(map(bytes, products)):
+            if key in seen:
+                continue
+            if allowed is not None and key not in allowed:
+                p, q = gens[r // len(frontier)].tolist(), frontier[r % len(frontier)].tolist()
+                raise ValueError(f"action is not closed under composition: {tuple(p)} o {tuple(q)}")
+            seen.add(key)
+            fresh.append(r)
+        if cap is not None and len(seen) > cap:
+            raise ValueError(f"group closure exceeded cap of {cap} elements")
+        frontier = products[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,22 +219,13 @@ class QuotientStructure:
 
 
 def orbits(action: GroupAction) -> QuotientStructure:
-    """Partition the ground set into orbits of the action."""
-    assignment = [-1] * action.size
-    orbit_list: list[tuple[int, ...]] = []
-    for element in range(action.size):
-        if assignment[element] >= 0:
-            continue
-        members = sorted({perm[element] for perm in action.perms})
-        oid = len(orbit_list)
-        for x in members:
-            assignment[x] = oid
-        orbit_list.append(tuple(members))
-    return QuotientStructure(tuple(assignment), tuple(orbit_list))
-
-
-def _orbit_label(orbit: tuple[int, ...], rel: FiniteRelation) -> str:
-    return "{" + ",".join(rel.label_of(i) for i in orbit) + "}"
+    """Partition the ground set into orbits of the action, numbered by least member."""
+    # column x of the (G, size) permutation array lists the orbit of x
+    _, class_index = np.unique(np.array(action.perms).min(axis=0), return_inverse=True)
+    members = np.argsort(class_index, kind="stable")
+    ends = np.cumsum(np.bincount(class_index)).tolist()
+    orbit_list = tuple(tuple(members[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends))
+    return QuotientStructure(tuple(class_index.tolist()), orbit_list)
 
 
 def induced_relation(
@@ -222,7 +234,8 @@ def induced_relation(
     """Relation on the orbit space, quantified over representatives.
 
     ``mode="strong"`` relates orbits A, B when every a in A precedes some
-    b in B; ``mode="weak"`` when some a in A precedes some b in B.
+    b in B; ``mode="weak"`` when some a in A precedes some b in B.  Both are
+    float32 products with the orbit indicator, exact as in :func:`_two_step`.
     """
     if rel.size != action.size:
         raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
@@ -230,15 +243,15 @@ def induced_relation(
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
     quotient = orbits(action)
     k = len(quotient.orbits)
-    table = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            block = rel.holds[np.ix_(quotient.orbits[a], quotient.orbits[b])]
-            if mode == "strong":
-                table[a, b] = bool(block.any(axis=1).all())
-            else:
-                table[a, b] = bool(block.any())
-    labels = tuple(_orbit_label(o, rel) for o in quotient.orbits)
+    indicator = np.zeros((rel.size, k), dtype=np.float32)
+    indicator[np.arange(rel.size), quotient.class_index] = 1
+    # reach[a, B]: a precedes some b in orbit B
+    reach = (rel.holds.astype(np.float32) @ indicator) > 0
+    if mode == "strong":
+        table = (indicator.T @ (~reach).astype(np.float32)) == 0
+    else:
+        table = (indicator.T @ reach.astype(np.float32)) > 0
+    labels = tuple("{" + ",".join(map(rel.label_of, o)) + "}" for o in quotient.orbits)
     return QuotientStructure(
         quotient.class_index, quotient.orbits, FiniteRelation(k, table, labels)
     )
@@ -249,19 +262,11 @@ def action_properties(rel: FiniteRelation, action: GroupAction) -> ActionPropert
     if rel.size != action.size:
         raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
     holds = rel.holds
-    increasing = True
-    transverse = True
-    for perm in action.perms:
-        p = np.asarray(perm)
-        permuted = holds[np.ix_(p, p)]  # permuted[a, b] == holds[Ta, Tb]
-        if increasing and bool((holds & ~permuted).any()):
-            increasing = False
-        if transverse:
-            moved = p != np.arange(rel.size)
-            if bool(holds[p[moved], np.arange(rel.size)[moved]].any()):
-                transverse = False
-        if not increasing and not transverse:
-            break
+    perms = np.array(action.perms)  # (G, size): the identity is always listed
+    elements = np.arange(rel.size)
+    # holds[np.ix_(p, p)][a, b] == holds[Ta, Tb]
+    increasing = all(not (holds & ~holds[np.ix_(p, p)]).any() for p in perms)
+    transverse = not bool((holds[perms, elements] & (perms != elements)).any())
     return ActionProperties(increasing, transverse)
 
 
@@ -376,6 +381,8 @@ def relation_from_json(data: dict) -> FiniteRelation:
         pairs = [(int(i), int(j)) for i, j in data["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed relation JSON: {exc}") from exc
+    if not 0 <= size <= MAX_GROUND_SIZE:
+        raise ValueError(f"size must be between 0 and {MAX_GROUND_SIZE}, got {size}")
     return FiniteRelation.from_pairs(size, pairs)
 
 
@@ -389,4 +396,6 @@ def action_from_json(data: dict) -> GroupAction:
         perms = [tuple(int(x) for x in p) for p in data["perms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed action JSON: {exc}") from exc
+    if not 0 <= size <= MAX_GROUND_SIZE:
+        raise ValueError(f"size must be between 0 and {MAX_GROUND_SIZE}, got {size}")
     return GroupAction(size, tuple(perms))

@@ -34,19 +34,26 @@ class PitchClassSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.edo < 1:
+        try:
+            edo = index(self.edo)
+        except TypeError:  # an integral float, such as 12.0, is accepted
+            if not float(self.edo).is_integer():
+                raise ValueError(f"edo must be an integer, got {self.edo}") from None
+            edo = int(self.edo)
+        if edo < 1:
             raise ValueError("edo must be at least 1")
         try:
             members = tuple(sorted(map(index, self.members)))
-        except TypeError:  # an integral float, such as 4.0, is accepted
+        except TypeError:  # by the same rule as the edo
             if not all(float(x).is_integer() for x in self.members):
                 raise ValueError(f"pitch classes must be integers, got {self.members}") from None
             members = tuple(sorted(map(int, self.members)))
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate pitch classes in {members}")
-        if members and (members[0] < 0 or members[-1] >= self.edo):
-            x = next(x for x in members if not 0 <= x < self.edo)
-            raise ValueError(f"pitch class {x} out of range for edo {self.edo}")
+        if members and (members[0] < 0 or members[-1] >= edo):
+            x = next(x for x in members if not 0 <= x < edo)
+            raise ValueError(f"pitch class {x} out of range for edo {edo}")
+        object.__setattr__(self, "edo", edo)
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -262,6 +269,6 @@ def class_to_json(cls: SetClass) -> dict:
 
 def class_from_json(data: dict) -> SetClass:
     try:
-        return canonical_form(PitchClassSet(int(data["edo"]), tuple(data["members"])))
+        return canonical_form(PitchClassSet(data["edo"], tuple(data["members"])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed set class JSON: {exc}") from exc

@@ -3,7 +3,8 @@
 ``LPStandardForm`` carries ``minimise c.v`` subject to ``A v <= u``,
 ``E v = d`` and ``v >= 0``.  The solver is a self-contained two-phase primal
 simplex on a dense tableau with Bland's anti-cycling rule, so termination is
-guaranteed; problems here have at most a few hundred variables.
+guaranteed.  The design LPs have 2n or 3n variables for n harmonics, so up to
+3072 at the 1024-harmonic cap, and the tableau is dense.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""Reference oracle for the design LPs.
+"""Reference oracles for the design LPs.
 
 An exhaustive search over a grid on the probability simplex: slow and
-approximate, but independent of the LP formulation and the simplex.
+approximate, but independent of the LP formulation and the simplex.  And the
+constraint rows of the LP written one entry at a time.
 """
 
 import numpy as np
@@ -37,3 +38,33 @@ def grid_solve(problem: DesignProblem, resolution: float) -> DesignSolution:
         cost = cost + np.abs(points - problem.bound.power).sum(axis=1)
     best = int(np.argmin(cost))
     return DesignSolution(TimbralVector(points[best]), float(cost[best]), DesignStatus.OPTIMAL)
+
+
+def abs_split_rows(n: int, n_vars: int, x_at: int, aux_at: int) -> np.ndarray:
+    """Rows encoding aux >= |x - ref|: x - aux <= ref and -x - aux <= -ref."""
+    rows = np.zeros((2 * n, n_vars))
+    for i in range(n):
+        rows[i, x_at + i] = 1.0
+        rows[i, aux_at + i] = -1.0
+        rows[n + i, x_at + i] = -1.0
+        rows[n + i, aux_at + i] = -1.0
+    return rows
+
+
+def suffix_rows(n: int, n_vars: int) -> np.ndarray:
+    """Rows whose product with (x, ...) gives the suffix profile of x."""
+    rows = np.zeros((n, n_vars))
+    for i in range(n):
+        rows[i, n - 1 - i : n] = 1.0
+    return rows
+
+
+def loop_a_ub(n: int, variant: Variant) -> np.ndarray:
+    """The inequality matrix of ``design.to_lp``, entry by entry."""
+    bi = variant is Variant.BI_OBJECTIVE
+    n_vars = 3 * n if bi else 2 * n
+    blocks = [abs_split_rows(n, n_vars, 0, n)]
+    if bi:
+        blocks.append(abs_split_rows(n, n_vars, 0, 2 * n))
+    blocks.append(suffix_rows(n, n_vars))
+    return np.vstack(blocks)

@@ -22,10 +22,8 @@ def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
     """
     size = 1 << n
     full = size - 1
-    table = np.zeros((size, size), dtype=bool)
-    for i in range(size):
-        for j in range(size):
-            table[i, j] = (i & j) == i
+    masks = np.arange(size)
+    table = (masks[:, None] & masks[None, :]) == masks[:, None]
     labels = ["{" + ",".join(str(b) for b in range(n) if (m >> b) & 1) + "}"
               for m in range(size)]
     rotate = tuple(((m << 1) | (m >> (n - 1))) & full for m in range(size))
@@ -55,6 +53,79 @@ def random_group_action(rng: np.random.Generator, size: int) -> GroupAction:
         perm[i], perm[j] = perm[j], perm[i]
         return GroupAction.from_generators(size, [tuple(perm)])
     return GroupAction.from_generators(size, [tuple(int(x) for x in rng.permutation(size))])
+
+
+def reference_group_perms(size: int, perms) -> tuple[tuple[int, ...], ...]:
+    """The sorted distinct permutations, after checking identity, inverses and
+    every pairwise composite one at a time; ValueError when one is missing."""
+    seen = set()
+    normalized = []
+    for perm in perms:
+        p = tuple(int(x) for x in perm)
+        if sorted(p) != list(range(size)):
+            raise ValueError(f"{p} is not a permutation of 0..{size - 1}")
+        if p not in seen:
+            seen.add(p)
+            normalized.append(p)
+    normalized.sort()
+    if tuple(range(size)) not in seen:
+        raise ValueError("action must contain the identity permutation")
+    for p in normalized:
+        inv = tuple(int(x) for x in np.argsort(p))
+        if inv not in seen:
+            raise ValueError(f"action is not closed under inverse: {p}")
+        for q in normalized:
+            comp = tuple(p[q[i]] for i in range(size))
+            if comp not in seen:
+                raise ValueError(f"action is not closed under composition: {p} o {q}")
+    return tuple(normalized)
+
+
+def reference_orbits(action: GroupAction) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(class index, orbits), one element at a time, orbits numbered by least member."""
+    assignment = [-1] * action.size
+    orbit_list: list[tuple[int, ...]] = []
+    for element in range(action.size):
+        if assignment[element] >= 0:
+            continue
+        members = sorted({perm[element] for perm in action.perms})
+        oid = len(orbit_list)
+        for x in members:
+            assignment[x] = oid
+        orbit_list.append(tuple(members))
+    return tuple(assignment), tuple(orbit_list)
+
+
+def reference_induced_table(rel: FiniteRelation, action: GroupAction, mode: str) -> np.ndarray:
+    """The strong or weak relation on orbits, one block of ``rel`` per orbit pair."""
+    _, orbit_list = reference_orbits(action)
+    k = len(orbit_list)
+    table = np.zeros((k, k), dtype=bool)
+    for a in range(k):
+        for b in range(k):
+            block = rel.holds[np.ix_(orbit_list[a], orbit_list[b])]
+            if mode == "strong":
+                table[a, b] = bool(block.any(axis=1).all())
+            else:
+                table[a, b] = bool(block.any())
+    return table
+
+
+def reference_action_properties(rel: FiniteRelation, action: GroupAction) -> tuple[bool, bool]:
+    """(increasing, transverse), one permutation at a time."""
+    holds = rel.holds
+    increasing = True
+    transverse = True
+    for perm in action.perms:
+        p = np.asarray(perm)
+        permuted = holds[np.ix_(p, p)]  # permuted[a, b] == holds[Ta, Tb]
+        if increasing and bool((holds & ~permuted).any()):
+            increasing = False
+        if transverse:
+            moved = p != np.arange(rel.size)
+            if bool(holds[p[moved], np.arange(rel.size)[moved]].any()):
+                transverse = False
+    return increasing, transverse
 
 
 def force_increasing(rel: FiniteRelation, action: GroupAction) -> FiniteRelation:

@@ -171,6 +171,24 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert "error: family of 351 classes exceeds" in result.output
 
+    def test_order_check_size_above_bound_exit_one(self, runner, tmp_path):
+        from qorder.orders import MAX_GROUND_SIZE
+
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"size": 1000000, "pairs": []}))
+        action = DATA / "action_example.json"
+        result = runner.invoke(main, ["order", "check", "--relation", str(huge),
+                                      "--action", str(action)])
+        assert result.exit_code == 1
+        assert f"error: size must be between 0 and {MAX_GROUND_SIZE}" in result.output
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"size": MAX_GROUND_SIZE + 1, "perms": []}))
+        result = runner.invoke(main, ["order", "check",
+                                      "--relation", str(DATA / "relation_example.json"),
+                                      "--action", str(wide)])
+        assert result.exit_code == 1
+        assert f"error: size must be between 0 and {MAX_GROUND_SIZE}" in result.output
+
     def test_counterexample_n_above_harmonic_cap_exit_one(self, runner):
         result = runner.invoke(main, ["timbre", "counterexample", "--n", "100000"])
         assert result.exit_code == 1

@@ -27,7 +27,7 @@ from qorder.timbre import (
     tv_distance,
 )
 
-from reference_design import grid_solve
+from reference_design import grid_solve, loop_a_ub
 from structures import random_simplex
 
 DATA = Path(__file__).parent / "data"
@@ -70,6 +70,18 @@ class TestToLp:
         lp = to_lp(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2], Variant.BI_OBJECTIVE))
         assert lp.n_vars == 9
         assert lp.a_ub.shape == (15, 9)
+
+    def test_blocks_match_loop_rows_bit_for_bit(self):
+        # signed zeros included: a -0.0 would change the tableau's bytes
+        rng = np.random.default_rng(64)
+        for n in range(1, 65):
+            target, bound = random_simplex(rng, n), random_simplex(rng, n)
+            for variant in Variant:
+                lp = to_lp(problem(target, bound, variant))
+                expected = loop_a_ub(n, variant)
+                assert lp.a_ub.dtype == expected.dtype and lp.a_ub.shape == expected.shape
+                assert lp.a_ub.tobytes() == expected.tobytes(), (n, variant)
+                assert not np.signbit(lp.a_ub[lp.a_ub == 0]).any()
 
     def test_target_equal_bound_is_free(self):
         prob = problem([0.3, 0.3, 0.4], [0.3, 0.3, 0.4])

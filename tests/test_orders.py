@@ -1,7 +1,12 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
+from qorder import orders
 from qorder.orders import (
+    MAX_GROUND_SIZE,
     Comparison,
     FiniteRelation,
     GroupAction,
@@ -26,6 +31,10 @@ from structures import (
     powerset_inclusion,
     random_group_action,
     random_partial_order,
+    reference_action_properties,
+    reference_group_perms,
+    reference_induced_table,
+    reference_orbits,
 )
 
 
@@ -59,10 +68,86 @@ class TestGroupAction:
         with pytest.raises(ValueError, match="cap"):
             GroupAction.from_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], cap=10)
 
+    def test_from_generators_rejects_non_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            GroupAction.from_generators(3, [(1, 2)])
+        with pytest.raises(ValueError, match="permutation"):
+            GroupAction.from_generators(2, [(-1, 0)])
+
     def test_json_round_trip(self):
         action = GroupAction.from_generators(3, [(1, 2, 0)])
         again = action_from_json(action_to_json(action))
         assert again.perms == action.perms
+
+    def test_empty_ground_set(self):
+        action = GroupAction(0, ((),))
+        assert action.perms == ((),)
+        assert orbits(action).orbits == ()
+        assert induced_relation(FiniteRelation(0, np.zeros((0, 0))), action, "weak").relation.size == 0
+
+    def test_every_s3_subset_with_identity(self):
+        identity, *others = itertools.permutations(range(3))
+        accepted = 0
+        for r in range(len(others) + 1):
+            for chosen in itertools.combinations(others, r):
+                accepted += agrees_with_reference(3, (identity, *chosen), np.random.default_rng(r))
+        # the six subgroups of S3
+        assert accepted == 6
+
+    def test_random_s4_subsets(self):
+        rng = np.random.default_rng(44)
+        perms = list(itertools.permutations(range(4)))
+        accepted = 0
+        for trial in range(500):
+            if trial % 2:
+                chosen = [p for p in perms[1:] if rng.random() < rng.uniform(0.0, 0.4)]
+            else:
+                gens = [perms[i] for i in rng.choice(24, size=int(rng.integers(1, 3)))]
+                chosen = list(GroupAction.from_generators(4, gens).perms[1:])
+                if trial % 4 and chosen:  # a subgroup less one element
+                    chosen.pop(int(rng.integers(len(chosen))))
+            order = rng.permutation(len(chosen) + 1)
+            listed = [(perms[0], *chosen)[i] for i in order]
+            accepted += agrees_with_reference(4, listed, rng)
+        assert 100 < accepted < 400
+
+    def test_all_of_s7_under_a_second(self):
+        perms = list(itertools.permutations(range(7)))
+        start = time.perf_counter()
+        action = GroupAction(7, tuple(reversed(perms)))
+        assert time.perf_counter() - start < 1.0
+        assert action.perms == tuple(perms)
+        with pytest.raises(ValueError, match="closed"):
+            GroupAction(7, tuple(perms[:2000] + perms[2001:]))
+
+    def test_all_of_s8_under_five_seconds(self):
+        start = time.perf_counter()
+        action = GroupAction.from_generators(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
+        assert time.perf_counter() - start < 5.0
+        assert len(action) == 40320
+
+
+def agrees_with_reference(size, listed, rng):
+    """Whether ``listed`` is a group; raises AssertionError when the action
+    or its orbits, quotients or properties disagree with the loop references."""
+    try:
+        expected = reference_group_perms(size, listed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="closed"):
+            GroupAction(size, tuple(listed))
+        assert "closed" in str(exc)
+        return False
+    action = GroupAction(size, tuple(listed))
+    assert action.perms == expected
+    quotient = orbits(action)
+    assert (quotient.class_index, quotient.orbits) == reference_orbits(action)
+    rel = FiniteRelation(size, rng.random((size, size)) < rng.uniform(0.0, 0.7))
+    for mode in ("strong", "weak"):
+        table = induced_relation(rel, action, mode).relation.holds
+        assert np.array_equal(table, reference_induced_table(rel, action, mode))
+    props = action_properties(rel, action)
+    assert (props.increasing, props.transverse) == reference_action_properties(rel, action)
+    return True
 
 
 class TestOrbits:
@@ -81,6 +166,22 @@ class TestOrbits:
 
 
 class TestInducedRelation:
+    def test_matches_reference_on_random_relations(self):
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            size = int(rng.integers(1, 10))
+            # two generators often give all of S_size: keep the reference quick
+            gens = [rng.permutation(size) for _ in range(1 if size > 5 else 2)]
+            action = GroupAction.from_generators(size, gens)
+            assert agrees_with_reference(size, action.perms, rng)
+
+    def test_matches_reference_on_powersets(self):
+        for n in range(1, 7):
+            rel, action = powerset_inclusion(n)
+            for mode in ("strong", "weak"):
+                table = induced_relation(rel, action, mode).relation.holds
+                assert np.array_equal(table, reference_induced_table(rel, action, mode))
+
     def test_z2_subsets_chain_both_modes(self):
         rel, action = powerset_inclusion(2)
         for mode in ("strong", "weak"):
@@ -355,9 +456,14 @@ class TestQuotientOrderFacts:
             action = random_group_action(rng, size)
             strong = induced_relation(rel, action, "strong").relation
             weak = induced_relation(rel, action, "weak").relation
+            assert np.array_equal(strong.holds, reference_induced_table(rel, action, "strong"))
+            assert np.array_equal(weak.holds, reference_induced_table(rel, action, "weak"))
             axioms = relation_axioms(strong)
             assert axioms.preorder
             props = action_properties(rel, action)
+            assert (props.increasing, props.transverse) == reference_action_properties(rel, action)
+            quotient = orbits(action)
+            assert (quotient.class_index, quotient.orbits) == reference_orbits(action)
             if props.increasing:
                 assert (strong.holds == weak.holds).all()
             if props.transverse:
@@ -393,3 +499,18 @@ class TestRelationJson:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             relation_from_json({"size": 2})
+
+    @pytest.mark.parametrize("size", [-1, MAX_GROUND_SIZE + 1, 10**6])
+    def test_size_bound_checked_before_allocating(self, size, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(FiniteRelation, "from_pairs", no_allocation)
+        monkeypatch.setattr(orders, "GroupAction", no_allocation)
+        with pytest.raises(ValueError, match=f"size must be between 0 and {MAX_GROUND_SIZE}"):
+            relation_from_json({"size": size, "pairs": []})
+        with pytest.raises(ValueError, match=f"size must be between 0 and {MAX_GROUND_SIZE}"):
+            action_from_json({"size": size, "perms": [list(range(max(size, 0)))]})
+
+    def test_size_at_bound_accepted(self):
+        assert relation_from_json({"size": MAX_GROUND_SIZE, "pairs": [[0, 1]]}).holds[0, 1]

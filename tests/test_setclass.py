@@ -88,6 +88,19 @@ class TestPitchClassSet:
         with pytest.raises(ValueError, match="pitch classes must be integers"):
             class_from_json({"edo": 12, "members": [member, 7]})
 
+    @pytest.mark.parametrize("edo", [12.5, 12.7, float("inf"), float("nan")])
+    def test_rejects_non_integer_edo(self, edo):
+        with pytest.raises(ValueError, match="edo must be an integer"):
+            PitchClassSet(edo, (0, 4))
+        with pytest.raises(ValueError, match="edo must be an integer"):
+            class_from_json({"edo": edo, "members": [0, 4]})
+
+    def test_integral_edo_becomes_int(self):
+        for edo in (12.0, np.int64(12), np.uint8(12)):
+            a = PitchClassSet(edo, (4, 0))
+            assert a.edo == 12 and type(a.edo) is int
+            assert class_to_json(class_from_json({"edo": edo, "members": [0, 4]}))["edo"] == 12
+
     def test_accepts_numpy_ints(self):
         a = PitchClassSet(12, (np.int64(7), np.int32(4), np.uint8(0)))
         assert a.members == (0, 4, 7)
@@ -266,23 +279,28 @@ class TestClassLeq:
                 assert classes[a].cardinality <= classes[b].cardinality
 
     def test_agrees_with_quotient_relation_small(self):
-        # weak and strong quotient relations on the full powerset equal the
-        # direct class-level subset test
+        # the set-class order is the quotient of inclusion on the full
+        # powerset: weak and strong quotient relations equal the subset order,
+        # and, up to edo 6, the direct class-level subset test
         from qorder.orders import induced_relation
         from structures import powerset_inclusion
 
-        for edo in (2, 3, 4, 5, 6):
+        for edo in range(2, 11):
             rel, action = powerset_inclusion(edo)
-            by_mask = {
-                mask: canonical_form(PitchClassSet.from_mask(edo, mask))
-                for mask in range(1 << edo)
-            }
+            classes = enumerate_set_classes(edo)
+            position = {c: i for i, c in enumerate(classes)}
+            order = subset_order(classes).holds
             for mode in ("strong", "weak"):
                 quotient = induced_relation(rel, action, mode)
-                for a_id, orbit_a in enumerate(quotient.orbits):
-                    for b_id, orbit_b in enumerate(quotient.orbits):
-                        ca = by_mask[orbit_a[0]]
-                        cb = by_mask[orbit_b[0]]
+                matched = [canonical_form(PitchClassSet.from_mask(edo, orbit[0]))
+                           for orbit in quotient.orbits]
+                ids = [position[c] for c in matched]
+                assert sorted(ids) == list(range(len(classes)))
+                assert np.array_equal(quotient.relation.holds, order[np.ix_(ids, ids)]), (edo, mode)
+                if edo > 6:
+                    continue
+                for a_id, ca in enumerate(matched):
+                    for b_id, cb in enumerate(matched):
                         assert quotient.relation.holds[a_id, b_id] == class_leq(ca, cb), (
                             edo, mode, ca, cb,
                         )
