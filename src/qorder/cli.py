@@ -293,8 +293,8 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
     rel = orders.relation_from_json(json.loads(Path(relation_path).read_text()))
     action = orders.action_from_json(json.loads(Path(action_path).read_text()))
     props = orders.action_properties(rel, action)
-    strong = orders.induced_relation(rel, action, "strong")
-    weak = orders.induced_relation(rel, action, "weak")
+    quotients = orders._induced_relations(rel, action)
+    strong, weak = quotients["strong"], quotients["weak"]
     strong_axioms = orders.relation_axioms(strong.relation)
     weak_axioms = orders.relation_axioms(weak.relation)
     same = bool((strong.relation.holds == weak.relation.holds).all())

@@ -11,7 +11,7 @@ genuine orders.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,11 +137,13 @@ class GroupAction:
     """A finite permutation group acting on ``0..size-1``.
 
     Construction fails unless the permutation list contains the identity and
-    is closed under composition, which makes a finite set a group.
+    is closed under composition, which makes a finite set a group.  The
+    closure check finds a generating set on the way, kept as ``_generators``.
     """
 
     size: int
     perms: tuple[tuple[int, ...], ...]
+    _generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         listed = np.unique(_permutation_array(self.size, self.perms), axis=0)
@@ -157,6 +159,7 @@ class GroupAction:
                 gens.append(i)
                 generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
         object.__setattr__(self, "perms", tuple(map(tuple, listed.tolist())))
+        object.__setattr__(self, "_generators", listed[gens])
 
     @classmethod
     def from_generators(
@@ -237,24 +240,32 @@ def induced_relation(
     b in B; ``mode="weak"`` when some a in A precedes some b in B.  Both are
     float32 products with the orbit indicator, exact as in :func:`_two_step`.
     """
-    if rel.size != action.size:
-        raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
+    return _induced_relations(rel, action)[mode]
+
+
+def _induced_relations(rel: FiniteRelation, action: GroupAction) -> dict[str, QuotientStructure]:
+    """:func:`induced_relation` in both modes, from one orbit partition and
+    the same two products."""
+    if rel.size != action.size:
+        raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
     quotient = orbits(action)
     k = len(quotient.orbits)
     indicator = np.zeros((rel.size, k), dtype=np.float32)
     indicator[np.arange(rel.size), quotient.class_index] = 1
     # reach[a, B]: a precedes some b in orbit B
     reach = (rel.holds.astype(np.float32) @ indicator) > 0
-    if mode == "strong":
-        table = (indicator.T @ (~reach).astype(np.float32)) == 0
-    else:
-        table = (indicator.T @ reach.astype(np.float32)) > 0
+    # hits[A, B]: how many a in A precede some b in B; strong when that is
+    # every a in A, weak when it is at least one
+    hits = indicator.T @ reach.astype(np.float32)
+    sizes = np.bincount(quotient.class_index, minlength=k)
+    tables = {"strong": hits == sizes[:, None], "weak": hits > 0}
     labels = tuple("{" + ",".join(map(rel.label_of, o)) + "}" for o in quotient.orbits)
-    return QuotientStructure(
-        quotient.class_index, quotient.orbits, FiniteRelation(k, table, labels)
-    )
+    return {
+        mode: QuotientStructure(quotient.class_index, quotient.orbits, FiniteRelation(k, table, labels))
+        for mode, table in tables.items()
+    }
 
 
 def action_properties(rel: FiniteRelation, action: GroupAction) -> ActionProperties:
@@ -262,10 +273,12 @@ def action_properties(rel: FiniteRelation, action: GroupAction) -> ActionPropert
     if rel.size != action.size:
         raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
     holds = rel.holds
-    perms = np.array(action.perms)  # (G, size): the identity is always listed
+    # (G, size): the identity is always listed
+    perms = np.array(action.perms, dtype=np.intp).reshape(len(action), action.size)
     elements = np.arange(rel.size)
-    # holds[np.ix_(p, p)][a, b] == holds[Ta, Tb]
-    increasing = all(not (holds & ~holds[np.ix_(p, p)]).any() for p in perms)
+    # holds[np.ix_(p, p)][a, b] == holds[Ta, Tb]; a relation that every
+    # generator preserves is preserved by each composite, so the whole group
+    increasing = all(not (holds & ~holds[np.ix_(p, p)]).any() for p in action._generators)
     transverse = not bool((holds[perms, elements] & (perms != elements)).any())
     return ActionProperties(increasing, transverse)
 

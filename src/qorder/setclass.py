@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import add, attrgetter, index
+from operator import add, attrgetter, index, sub
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,24 @@ MAX_EDO = 24
 MAX_ORDER_CLASSES = 32768
 
 
+def _integral(x) -> bool:
+    """True for a number with no fractional part; strings are not numbers here."""
+    return not isinstance(x, (str, bytes)) and float(x).is_integer()
+
+
+def _checked_edo(edo) -> int:
+    """``edo`` as an int of at least 1: integers, and integral floats such as 12.0."""
+    try:
+        value = index(edo)
+    except TypeError:
+        if not _integral(edo):
+            raise ValueError(f"edo must be an integer, got {edo!r}") from None
+        value = int(edo)
+    if value < 1:
+        raise ValueError("edo must be at least 1")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class PitchClassSet:
     """A subset of Z_N; ``members`` is the sorted residue tuple."""
@@ -34,18 +52,11 @@ class PitchClassSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            edo = index(self.edo)
-        except TypeError:  # an integral float, such as 12.0, is accepted
-            if not float(self.edo).is_integer():
-                raise ValueError(f"edo must be an integer, got {self.edo}") from None
-            edo = int(self.edo)
-        if edo < 1:
-            raise ValueError("edo must be at least 1")
+        edo = _checked_edo(self.edo)
         try:
             members = tuple(sorted(map(index, self.members)))
         except TypeError:  # by the same rule as the edo
-            if not all(float(x).is_integer() for x in self.members):
+            if not all(map(_integral, self.members)):
                 raise ValueError(f"pitch classes must be integers, got {self.members}") from None
             members = tuple(sorted(map(int, self.members)))
         if len(set(members)) != len(members):
@@ -59,7 +70,7 @@ class PitchClassSet:
     @classmethod
     def from_mask(cls, edo: int, mask: int) -> "PitchClassSet":
         """The set of bit positions below ``edo`` that are set in ``mask``."""
-        mask &= (1 << max(edo, 0)) - 1  # a negative edo is refused by __post_init__
+        mask &= (1 << _checked_edo(edo)) - 1
         members = []
         while mask:
             low = mask & -mask
@@ -108,9 +119,26 @@ class SetClass:
         return str(self.rep)
 
 
+def _derived(edo: int, members: tuple[int, ...], kind: type = PitchClassSet):
+    """A set, or with ``kind=SetClass`` its class, built without the constructors' checks.
+
+    Only for values valid by construction: ``members`` sorted, distinct ints
+    below ``edo``, an int that the constructors have already accepted.
+    """
+    pcs = object.__new__(PitchClassSet)
+    object.__setattr__(pcs, "edo", edo)
+    object.__setattr__(pcs, "members", members)
+    if kind is PitchClassSet:
+        return pcs
+    out = object.__new__(SetClass)
+    object.__setattr__(out, "edo", edo)
+    object.__setattr__(out, "rep", pcs)
+    return out
+
+
 def _steps(members: tuple[int, ...], edo: int) -> tuple[int, ...]:
     """Cyclic steps between the sorted, nonempty ``members``; the last wraps the octave."""
-    return tuple([b - a for a, b in zip(members, members[1:])] + [members[0] + edo - members[-1]])
+    return tuple(map(sub, members[1:] + (members[0] + edo,), members))
 
 
 def canonical_form(pcs: PitchClassSet) -> SetClass:
@@ -121,17 +149,18 @@ def canonical_form(pcs: PitchClassSet) -> SetClass:
     Those prefix sums order as the step sequences do, so the representative
     accumulates the least rotation of the steps, which begins with a least step.
     """
-    members = pcs.members
+    members, edo = pcs.members, pcs.edo
     if members:
-        steps = _steps(members, pcs.edo)
-        k, low, twice = len(steps), min(steps), steps + steps
-        least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
+        steps = _steps(members, edo)
+        low = min(steps)
+        if steps.count(low) == 1:  # the one rotation that begins with it
+            i = steps.index(low)
+            least = steps[i:] + steps[:i]
+        else:
+            k, twice = len(steps), steps + steps
+            least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
         members = (0, *accumulate(least[:-1]))
-    return SetClass(pcs.edo, PitchClassSet(pcs.edo, members))
-
-
-def _class_from_mask(edo: int, mask: int) -> SetClass:
-    return canonical_form(PitchClassSet.from_mask(edo, mask))
+    return _derived(edo, members, SetClass)
 
 
 def burnside_count(edo: int) -> int:
@@ -150,11 +179,25 @@ def burnside_count(edo: int) -> int:
 
 def enumerate_set_classes(edo: int, cap: int = MAX_EDO) -> list[SetClass]:
     """All set classes of Z_N, empty class included, sorted by representative."""
+    edo = index(edo)  # classes below are built without checks, so with a plain int
     if not 1 <= edo <= cap:
         raise ValueError(f"edo {edo} outside supported range 1..{cap}")
     canon = _kernels.canonical_masks(edo)
-    orbit_masks = np.unique(canon)
-    classes = [_class_from_mask(edo, m) for m in orbit_masks.tolist()]
+    # a mask is the least of its orbit exactly when it is its own minimum
+    orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
+    del canon  # its 8 * 2**edo bytes are not needed beside the bit matrix
+    # the members of every orbit minimum from one (K, width) bit matrix, read
+    # row by row as bytes: each byte is a member, ascending within a row
+    dtype = np.min_scalar_type((1 << edo) - 1).newbyteorder("<")
+    bits = np.unpackbits(orbit_masks.astype(dtype).view(np.uint8), bitorder="little")
+    bits = bits.reshape(orbit_masks.size, -1).view(bool)
+    positions = np.arange(bits.shape[1], dtype=np.uint8)
+    members = np.broadcast_to(positions, bits.shape)[bits].tobytes()
+    ends = np.cumsum(bits.sum(axis=1)).tolist()
+    classes = [
+        canonical_form(_derived(edo, tuple(members[lo:hi])))
+        for lo, hi in zip([0, *ends], ends)
+    ]
     classes.sort(key=attrgetter("rep.members"))
     return classes
 
@@ -229,7 +272,8 @@ def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
         raise ValueError(f"max_second {max_second} outside 1..{edo}")
     out = []
     for cls in enumerate_set_classes(edo):
-        if cls.cardinality == 0:
+        # k steps of at most max_second reach round the octave only if k * max_second >= edo
+        if cls.cardinality * max_second < edo:
             continue
         if max(span_profile(cls).seconds) <= max_second:
             out.append(cls)

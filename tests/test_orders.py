@@ -147,7 +147,19 @@ def agrees_with_reference(size, listed, rng):
         assert np.array_equal(table, reference_induced_table(rel, action, mode))
     props = action_properties(rel, action)
     assert (props.increasing, props.transverse) == reference_action_properties(rel, action)
+    assert_generator_check_agrees(rel, action, rng)
     return True
+
+
+def assert_generator_check_agrees(rel, action, rng):
+    """The generators the closure walk keeps generate the group, and the
+    generator-only "increasing" check agrees with the all-permutation loop on
+    a relation preserved by the subgroup of one random member."""
+    assert GroupAction.from_generators(action.size, action._generators).perms == action.perms
+    member = action.perms[int(rng.integers(len(action)))]
+    invariant = force_increasing(rel, GroupAction.from_generators(action.size, [member]))
+    props = action_properties(invariant, action)
+    assert (props.increasing, props.transverse) == reference_action_properties(invariant, action)
 
 
 class TestOrbits:
@@ -248,6 +260,21 @@ class TestActionProperties:
         action = GroupAction(6, (tuple(range(6)),))
         props = action_properties(rel, action)
         assert props.increasing and props.transverse
+
+    def test_empty_ground_set(self):
+        props = action_properties(FiniteRelation(0, np.zeros((0, 0))), GroupAction(0, ((),)))
+        assert props.increasing and props.transverse
+
+    def test_cyclic_1024_under_half_a_second(self):
+        # a relation every rotation preserves, so no permutation can stop the check early
+        n = 1024
+        action = GroupAction.from_generators(n, [tuple(range(1, n)) + (0,)])
+        gap = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        rel = FiniteRelation(n, gap < 3)
+        start = time.perf_counter()
+        props = action_properties(rel, action)
+        assert time.perf_counter() - start < 0.5
+        assert props.increasing and not props.transverse
 
 
 class TestFiniteRelationTable:
@@ -473,6 +500,7 @@ class TestQuotientOrderFacts:
                     block = rel.holds[np.ix_(orbit, orbit)]
                     off_diag = block & ~np.eye(len(orbit), dtype=bool)
                     assert not off_diag.any()
+            assert_generator_check_agrees(rel, action, rng)
             # an invariant preorder makes the action increasing by construction
             invariant = force_increasing(rel, action)
             assert action_properties(invariant, action).increasing

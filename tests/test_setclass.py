@@ -11,6 +11,7 @@ from qorder import _kernels, setclass
 from qorder.orders import relation_axioms
 from qorder.setclass import (
     PitchClassSet,
+    SetClass,
     burnside_count,
     canonical_form,
     class_from_json,
@@ -118,6 +119,20 @@ class TestPitchClassSet:
         with pytest.raises(ValueError, match="edo must be at least 1"):
             PitchClassSet.from_mask(-1, 3)
 
+    def test_from_mask_follows_the_edo_rule(self):
+        a = PitchClassSet.from_mask(12.0, 5)
+        assert a == PitchClassSet(12, (0, 2)) and type(a.edo) is int
+        with pytest.raises(ValueError, match="edo must be an integer"):
+            PitchClassSet.from_mask(12.5, 5)
+        with pytest.raises(ValueError, match="edo must be an integer"):
+            PitchClassSet.from_mask("12", 5)
+
+    def test_strings_are_not_integers(self):
+        with pytest.raises(ValueError, match="edo must be an integer"):
+            PitchClassSet("12", (0, 4))
+        with pytest.raises(ValueError, match="pitch classes must be integers"):
+            PitchClassSet(12, (0, "4"))
+
 
 class TestCanonicalForm:
     def test_transposition_collapse(self):
@@ -205,6 +220,24 @@ class TestEnumeration:
         classes = enumerate_set_classes(3)
         assert len(classes) == len(seen) == 4
         assert [c.rep.members for c in classes] == [(), (0,), (0, 1), (0, 1, 2)]
+
+    def test_counts_match_orbit_formula_to_twenty(self):
+        for edo in range(1, 21):
+            assert len(enumerate_set_classes(edo)) == burnside_count(edo), edo
+
+    def test_classes_equal_validated_rebuilds(self):
+        # the enumerator builds its values without the constructors' checks
+        for edo in range(1, 15):
+            for c in enumerate_set_classes(edo):
+                rebuilt = SetClass(edo, PitchClassSet(edo, c.rep.members))
+                assert c == rebuilt and hash(c) == hash(rebuilt), (edo, c)
+                assert type(c.edo) is int and type(c.rep.edo) is int
+                assert canonical_form(c.rep) == c, (edo, c)
+
+    def test_numpy_edo_gives_plain_ints(self):
+        classes = enumerate_set_classes(np.int64(6))
+        assert classes == enumerate_set_classes(6)
+        assert all(type(c.edo) is int for c in classes)
 
     def test_includes_empty_class(self):
         assert enumerate_set_classes(5)[0].cardinality == 0
@@ -365,6 +398,14 @@ class TestSpanLimitedFamilies:
     def test_bounds_checked(self):
         with pytest.raises(ValueError, match="max_second"):
             span_limited_classes(12, 0)
+
+    def test_cardinality_screen_drops_no_class(self):
+        for edo in range(1, 15):
+            classes = enumerate_set_classes(edo)
+            for max_second in range(1, edo + 1):
+                unscreened = [c for c in classes
+                              if c.cardinality and max(span_profile(c).seconds) <= max_second]
+                assert span_limited_classes(edo, max_second) == unscreened, (edo, max_second)
 
 
 TABLE_MINIMAL = {
