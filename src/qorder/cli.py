@@ -293,8 +293,7 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
     rel = orders.relation_from_json(json.loads(Path(relation_path).read_text()))
     action = orders.action_from_json(json.loads(Path(action_path).read_text()))
     props = orders.action_properties(rel, action)
-    quotients = orders._induced_relations(rel, action)
-    strong, weak = quotients["strong"], quotients["weak"]
+    strong, weak = orders.induced_relations(rel, action)
     strong_axioms = orders.relation_axioms(strong.relation)
     weak_axioms = orders.relation_axioms(weak.relation)
     same = bool((strong.relation.holds == weak.relation.holds).all())
@@ -316,8 +315,7 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
             "diagnostics": diagnostics,
         })
     else:
-        click.echo("orbits: " + " ".join(strong.relation.label_of(i)
-                                         for i in range(len(strong.orbits))))
+        click.echo("orbits: " + " ".join("{" + ",".join(map(str, o)) + "}" for o in strong.orbits))
         click.echo(f"increasing: {str(props.increasing).lower()}")
         click.echo(f"transverse: {str(props.transverse).lower()}")
         axioms = dataclasses.asdict(strong_axioms).items()

@@ -1,7 +1,7 @@
 """Finite relations, permutation group actions, and quotient orders.
 
 The ground set is always an explicit index set ``0..size-1``.  A relation is a
-dense boolean table; a group action is an explicit list of permutations that
+dense boolean table; a group action is an explicit array of permutations that
 must contain the identity and be closed under composition.  The
 quotient machinery builds the universal ("strong") and existential ("weak")
 relations on the orbit space and checks the axioms that decide when those are
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +64,6 @@ class FiniteRelation:
 
     size: int
     holds: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         table = self.holds
@@ -75,31 +75,18 @@ class FiniteRelation:
                 f"relation table has shape {table.shape}, expected {(self.size, self.size)}"
             )
         object.__setattr__(self, "holds", table)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.size:
-                raise ValueError("one label per element required")
-            object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_pairs(
-        cls,
-        size: int,
-        pairs: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ) -> "FiniteRelation":
+    def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
         table = np.zeros((size, size), dtype=bool)
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"pair ({i}, {j}) out of range for size {size}")
             table[i, j] = True
-        return cls(size, table, None if labels is None else tuple(labels))
+        return cls(size, table)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in np.argwhere(self.holds)]
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
 
 
 def _frozen(array: np.ndarray) -> bool:
@@ -137,12 +124,14 @@ class GroupAction:
     """A finite permutation group acting on ``0..size-1``.
 
     Construction fails unless the permutation list contains the identity and
-    is closed under composition, which makes a finite set a group.  The
-    closure check finds a generating set on the way, kept as ``_generators``.
+    is closed under composition, which makes a finite set a group.  ``perms``
+    becomes the read-only (G, size) intp array of the distinct permutations,
+    rows in ascending order.  The closure check finds a generating set on the
+    way, kept as ``_generators``.
     """
 
     size: int
-    perms: tuple[tuple[int, ...], ...]
+    perms: np.ndarray
     _generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -158,28 +147,51 @@ class GroupAction:
             if bytes(perm) not in generated:
                 gens.append(i)
                 generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
-        object.__setattr__(self, "perms", tuple(map(tuple, listed.tolist())))
+        listed.setflags(write=False)
+        object.__setattr__(self, "perms", listed)
         object.__setattr__(self, "_generators", listed[gens])
 
     @classmethod
     def from_generators(
-        cls, size: int, generators: Iterable[Sequence[int]], cap: int = 100_000
+        cls, size: int, generators: Sequence[Sequence[int]] | np.ndarray, cap: int = 100_000
     ) -> "GroupAction":
         """Close a generator set under composition (identity added automatically)."""
-        members = _closure(_permutation_array(size, generators), cap=cap)
-        return cls(size, tuple(map(tuple, members.tolist())))
+        return cls(size, _closure(_permutation_array(size, generators), cap=cap))
 
     def __len__(self) -> int:
         return len(self.perms)
 
 
-def _permutation_array(size: int, perms: Iterable[Sequence[int]]) -> np.ndarray:
-    """The (m, size) array of ``perms``; ValueError unless each permutes 0..size-1."""
-    rows = [[int(x) for x in perm] for perm in perms]
-    for row in rows:
-        if sorted(row) != list(range(size)):
-            raise ValueError(f"{tuple(row)} is not a permutation of 0..{size - 1}")
-    return np.array(rows, dtype=np.intp).reshape(len(rows), size)
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an intp array, by the set-class constructors' rule:
+    integers, and integral floats such as 1.0.  Anything else, strings
+    included, raises ValueError."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        raise ValueError(f"{what}: expected a rectangular array of integers") from None
+    if array.dtype.kind == "f":
+        whole = (np.trunc(array) == array) & (np.abs(array) < 2.0**63)
+        if not whole.all():
+            raise ValueError(f"{what}: expected integers, got {array[~whole][0]}")
+    elif array.dtype.kind not in "biu":
+        got = "strings" if array.dtype.kind in "US" else f"{array.dtype} values"
+        raise ValueError(f"{what}: expected integers, got {got}")
+    return array.astype(np.intp, copy=False)
+
+
+def _permutation_array(size: int, perms: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The (m, size) intp array of ``perms``; ValueError unless each row permutes 0..size-1."""
+    array = _integers(perms, "permutation entries")
+    if array.shape == (0,):  # no rows at all
+        array = array.reshape(0, size)
+    if array.ndim != 2 or array.shape[1] != size:
+        raise ValueError(f"each permutation must have {size} entries, got shape {array.shape}")
+    wrong = (np.sort(array, axis=1) != np.arange(size)).any(axis=1)
+    if wrong.any():
+        row = tuple(array[wrong.argmax()].tolist())
+        raise ValueError(f"{row} is not a permutation of 0..{size - 1}")
+    return array
 
 
 def _closure(gens: np.ndarray, allowed: set[bytes] | None = None, cap: int | None = None) -> np.ndarray:
@@ -224,30 +236,22 @@ class QuotientStructure:
 def orbits(action: GroupAction) -> QuotientStructure:
     """Partition the ground set into orbits of the action, numbered by least member."""
     # column x of the (G, size) permutation array lists the orbit of x
-    _, class_index = np.unique(np.array(action.perms).min(axis=0), return_inverse=True)
+    _, class_index = np.unique(action.perms.min(axis=0), return_inverse=True)
     members = np.argsort(class_index, kind="stable")
     ends = np.cumsum(np.bincount(class_index)).tolist()
     orbit_list = tuple(tuple(members[lo:hi].tolist()) for lo, hi in zip([0] + ends, ends))
     return QuotientStructure(tuple(class_index.tolist()), orbit_list)
 
 
-def induced_relation(
-    rel: FiniteRelation, action: GroupAction, mode: str
-) -> QuotientStructure:
-    """Relation on the orbit space, quantified over representatives.
+def induced_relations(
+    rel: FiniteRelation, action: GroupAction
+) -> tuple[QuotientStructure, QuotientStructure]:
+    """The (strong, weak) relations on the orbit space, quantified over representatives.
 
-    ``mode="strong"`` relates orbits A, B when every a in A precedes some
-    b in B; ``mode="weak"`` when some a in A precedes some b in B.  Both are
-    float32 products with the orbit indicator, exact as in :func:`_two_step`.
+    Strong relates orbits A, B when every a in A precedes some b in B; weak
+    when some a in A precedes some b in B.  Both come from the same float32
+    products with the orbit indicator, exact as in :func:`_two_step`.
     """
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    return _induced_relations(rel, action)[mode]
-
-
-def _induced_relations(rel: FiniteRelation, action: GroupAction) -> dict[str, QuotientStructure]:
-    """:func:`induced_relation` in both modes, from one orbit partition and
-    the same two products."""
     if rel.size != action.size:
         raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
     quotient = orbits(action)
@@ -260,21 +264,18 @@ def _induced_relations(rel: FiniteRelation, action: GroupAction) -> dict[str, Qu
     # every a in A, weak when it is at least one
     hits = indicator.T @ reach.astype(np.float32)
     sizes = np.bincount(quotient.class_index, minlength=k)
-    tables = {"strong": hits == sizes[:, None], "weak": hits > 0}
-    labels = tuple("{" + ",".join(map(rel.label_of, o)) + "}" for o in quotient.orbits)
-    return {
-        mode: QuotientStructure(quotient.class_index, quotient.orbits, FiniteRelation(k, table, labels))
-        for mode, table in tables.items()
-    }
+    strong, weak = (
+        QuotientStructure(quotient.class_index, quotient.orbits, FiniteRelation(k, table))
+        for table in (hits == sizes[:, None], hits > 0)
+    )
+    return strong, weak
 
 
 def action_properties(rel: FiniteRelation, action: GroupAction) -> ActionProperties:
     """Whether the action preserves the relation, and whether Ta <= a forces Ta = a."""
     if rel.size != action.size:
         raise ValueError(f"size mismatch: relation {rel.size}, action {action.size}")
-    holds = rel.holds
-    # (G, size): the identity is always listed
-    perms = np.array(action.perms, dtype=np.intp).reshape(len(action), action.size)
+    holds, perms = rel.holds, action.perms
     elements = np.arange(rel.size)
     # holds[np.ix_(p, p)][a, b] == holds[Ta, Tb]; a relation that every
     # generator preserves is preserved by each composite, so the whole group
@@ -309,46 +310,30 @@ def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
         if bool((step == closure).all()):
             break
         closure = step
-    return FiniteRelation(rel.size, closure, rel.labels)
+    return FiniteRelation(rel.size, closure)
 
 
 def reflexive_closure(rel: FiniteRelation) -> FiniteRelation:
     table = rel.holds | np.eye(rel.size, dtype=bool)
-    return FiniteRelation(rel.size, table, rel.labels)
+    return FiniteRelation(rel.size, table)
 
 
-def minimal_elements(
-    rel: FiniteRelation, subset: Iterable[int] | None = None, validate: bool = False
-) -> set[int]:
-    """Elements of ``subset`` with no distinct predecessor inside ``subset``.
-
-    The caller is responsible for ``rel`` restricted to ``subset`` being a
-    partial order; pass ``validate=True`` to check.
-    """
-    if subset is None:
-        ids = np.arange(rel.size)
-    else:
-        ids = np.unique(np.fromiter(subset, dtype=np.int64))
-    outside = ids[(ids < 0) | (ids >= rel.size)]
-    if outside.size:
-        raise ValueError(f"element id {outside[0]} out of range for size {rel.size}")
-    # ids are unique and in range, so as many ids as elements is the whole
-    # ground set: use the table itself, not an np.ix_ copy
-    sub = rel.holds if ids.size == rel.size else rel.holds[np.ix_(ids, ids)]
-    if validate:
-        axioms = relation_axioms(FiniteRelation(len(ids), sub))
-        if not axioms.partial_order:
-            raise ValueError("relation restricted to subset is not a partial order")
-    # predecessors of each element within ids, itself excluded
-    strict_preds = sub.sum(axis=0, dtype=np.int32) - np.diagonal(sub)
-    return set(ids[strict_preds == 0].tolist())
+def minimal_elements(rel: FiniteRelation) -> set[int]:
+    """Elements with no distinct predecessor.  The caller is responsible for
+    ``rel`` being a partial order."""
+    return _unbounded(rel.holds, axis=0)
 
 
-def maximal_elements(
-    rel: FiniteRelation, subset: Iterable[int] | None = None
-) -> set[int]:
-    flipped = FiniteRelation(rel.size, rel.holds.T, rel.labels)
-    return minimal_elements(flipped, subset)
+def maximal_elements(rel: FiniteRelation) -> set[int]:
+    """Elements with no distinct successor, under the same contract."""
+    return _unbounded(rel.holds, axis=1)
+
+
+def _unbounded(holds: np.ndarray, axis: int) -> set[int]:
+    """Elements related to no other along ``axis``: a column reduction counts
+    predecessors, a row reduction successors, the diagonal taken out."""
+    others = holds.sum(axis=axis, dtype=np.int32) - np.diagonal(holds)
+    return set(np.flatnonzero(others == 0).tolist())
 
 
 def transitive_reduction(rel: FiniteRelation) -> FiniteRelation:
@@ -358,7 +343,7 @@ def transitive_reduction(rel: FiniteRelation) -> FiniteRelation:
         raise ValueError("transitive reduction requires a partial order")
     strict = rel.holds & ~np.eye(rel.size, dtype=bool)
     two_step = _two_step(strict)
-    return FiniteRelation(rel.size, strict & ~two_step, rel.labels)
+    return FiniteRelation(rel.size, strict & ~two_step)
 
 
 def submajorize_compare(
@@ -388,27 +373,34 @@ def relation_to_json(rel: FiniteRelation) -> dict:
     return {"size": rel.size, "pairs": sorted(rel.pairs())}
 
 
-def relation_from_json(data: dict) -> FiniteRelation:
+def _ground_size(data: dict, kind: str) -> int:
+    """The checked ``size`` of a relation or action JSON object."""
     try:
-        size = int(data["size"])
-        pairs = [(int(i), int(j)) for i, j in data["pairs"]]
+        size = index(_integers(data["size"], "size"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed relation JSON: {exc}") from exc
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
     if not 0 <= size <= MAX_GROUND_SIZE:
         raise ValueError(f"size must be between 0 and {MAX_GROUND_SIZE}, got {size}")
+    return size
+
+
+def relation_from_json(data: dict) -> FiniteRelation:
+    size = _ground_size(data, "relation")
+    try:  # unpacked here, so that a row that is not a pair reads as malformed
+        pairs = [(i, j) for i, j in _integers(data["pairs"], "pair entries").tolist()]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed relation JSON: {exc}") from exc
     return FiniteRelation.from_pairs(size, pairs)
 
 
 def action_to_json(action: GroupAction) -> dict:
-    return {"size": action.size, "perms": [list(p) for p in action.perms]}
+    return {"size": action.size, "perms": action.perms.tolist()}
 
 
 def action_from_json(data: dict) -> GroupAction:
+    size = _ground_size(data, "action")
     try:
-        size = int(data["size"])
-        perms = [tuple(int(x) for x in p) for p in data["perms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        perms = data["perms"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed action JSON: {exc}") from exc
-    if not 0 <= size <= MAX_GROUND_SIZE:
-        raise ValueError(f"size must be between 0 and {MAX_GROUND_SIZE}, got {size}")
-    return GroupAction(size, tuple(perms))
+    return GroupAction(size, perms)

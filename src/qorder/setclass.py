@@ -202,20 +202,6 @@ def enumerate_set_classes(edo: int, cap: int = MAX_EDO) -> list[SetClass]:
     return classes
 
 
-def class_leq(a: SetClass, b: SetClass) -> bool:
-    """True when some transposition of ``a``'s representative is a subset of ``b``'s."""
-    if a.edo != b.edo:
-        raise ValueError(f"edo mismatch: {a.edo} vs {b.edo}")
-    edo = a.edo
-    full = (1 << edo) - 1
-    am, bm = a.mask, b.mask
-    for t in range(edo):
-        rot = ((am << t) | (am >> (edo - t))) & full
-        if rot & bm == rot:
-            return True
-    return False
-
-
 def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
     """Dense subset order over a family of classes that share an edo.
 
@@ -236,7 +222,7 @@ def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
     masks = np.array([c.mask for c in classes], dtype=np.int64)
     table = _kernels.subset_leq_matrix(masks, edo)
     table.setflags(write=False)  # so the relation adopts it without a copy
-    return FiniteRelation(len(classes), table, tuple(str(c) for c in classes))
+    return FiniteRelation(len(classes), table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,7 +274,7 @@ def span_limited_minimal(edo: int, max_second: int) -> list[SetClass]:
     """
     members = span_limited_classes(edo, max_second)
     relation = subset_order(members)
-    keep = minimal_elements(relation, range(len(members)))
+    keep = minimal_elements(relation)
     return [members[i] for i in sorted(keep)]
 
 
@@ -296,7 +282,7 @@ def thirds_criterion_holds(edo: int, max_second: int) -> bool:
     """Check that the minimal bounded-step classes are exactly those whose
     two-step spans all exceed the step bound."""
     family = span_limited_classes(edo, max_second)
-    minimal = minimal_elements(subset_order(family), range(len(family)))
+    minimal = minimal_elements(subset_order(family))
     for i, cls in enumerate(family):
         predicted = span_profile(cls).min_third >= max_second + 1
         if predicted != (i in minimal):

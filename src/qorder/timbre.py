@@ -40,7 +40,9 @@ class TimbralVector:
         if bool((arr < -SUM_TOL).any()):
             raise ValueError(f"negative power component in {arr}")
         arr[arr < 0.0] = 0.0
-        if abs(float(arr.sum()) - 1.0) > SUM_TOL:
+        # written so that a NaN or infinite component, whose sum is NaN or
+        # infinite, fails it too
+        if not abs(float(arr.sum()) - 1.0) <= SUM_TOL:
             raise ValueError(f"power sums to {arr.sum()}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "power", arr)
@@ -161,7 +163,7 @@ def brightness_hasse(
                 table[j, i] = True
             elif verdict is Comparison.EQUAL:
                 near.append((names[i], names[j]))
-    relation = FiniteRelation(k, table, tuple(names))
+    relation = FiniteRelation(k, table)
     cover = transitive_reduction(relation)
     top = sorted(names[i] for i in maximal_elements(relation))
     bottom = sorted(names[i] for i in minimal_elements(relation))

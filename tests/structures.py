@@ -13,6 +13,7 @@ from qorder.orders import (
     reflexive_closure,
     transitive_closure,
 )
+from qorder.setclass import SetClass
 
 
 def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
@@ -24,11 +25,24 @@ def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
     full = size - 1
     masks = np.arange(size)
     table = (masks[:, None] & masks[None, :]) == masks[:, None]
-    labels = ["{" + ",".join(str(b) for b in range(n) if (m >> b) & 1) + "}"
-              for m in range(size)]
     rotate = tuple(((m << 1) | (m >> (n - 1))) & full for m in range(size))
     action = GroupAction.from_generators(size, [rotate])
-    return FiniteRelation(size, table, tuple(labels)), action
+    return FiniteRelation(size, table), action
+
+
+def class_leq(a: SetClass, b: SetClass) -> bool:
+    """True when some transposition of ``a``'s representative is a subset of
+    ``b``'s: the subset order one pair at a time, over every rotation."""
+    if a.edo != b.edo:
+        raise ValueError(f"edo mismatch: {a.edo} vs {b.edo}")
+    edo = a.edo
+    full = (1 << edo) - 1
+    am, bm = a.mask, b.mask
+    for t in range(edo):
+        rot = ((am << t) | (am >> (edo - t))) & full
+        if rot & bm == rot:
+            return True
+    return False
 
 
 def random_partial_order(rng: np.random.Generator, size: int, p: float = 0.35) -> FiniteRelation:

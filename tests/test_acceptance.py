@@ -127,8 +127,7 @@ def test_a04_quotient_order_property_suite():
                 size = int(rng.integers(2, 9))
                 rel = random_partial_order(rng, size)
                 action = random_group_action(rng, size)
-            strong = q.induced_relation(rel, action, "strong").relation
-            weak = q.induced_relation(rel, action, "weak").relation
+            strong, weak = (quotient.relation for quotient in q.induced_relations(rel, action))
             assert q.relation_axioms(strong).preorder
             props = q.action_properties(rel, action)
             if props.increasing:
@@ -138,8 +137,7 @@ def test_a04_quotient_order_property_suite():
                 transverse_seen += 1
                 assert q.relation_axioms(strong).antisymmetric
             forced = force_increasing(rel, action)
-            s2 = q.induced_relation(forced, action, "strong").relation
-            w2 = q.induced_relation(forced, action, "weak").relation
+            s2, w2 = (quotient.relation for quotient in q.induced_relations(forced, action))
             assert (s2.holds == w2.holds).all()
         assert increasing_seen > 20 and transverse_seen > 20
 

@@ -58,6 +58,19 @@ def test_json_outputs_match_goldens(runner, name):
     assert output == (GOLDEN / name).read_text()
 
 
+def test_order_check_text_output(runner):
+    output = run_ok(runner, ["order", "check",
+                             "--relation", str(DATA / "relation_example.json"),
+                             "--action", str(DATA / "action_example.json")])
+    assert output == (
+        "orbits: {0,2} {1,3}\n"
+        "increasing: false\n"
+        "transverse: true\n"
+        "strong axioms: reflexive=true antisymmetric=true transitive=true\n"
+        "strong equals weak: false\n"
+    )
+
+
 class TestSetclassCommands:
     def test_minimal_text_lines(self, runner):
         output = run_ok(runner, ["setclass", "minimal", "--edo", "12", "--max-second", "2"])
@@ -188,6 +201,23 @@ class TestErrorPaths:
                                       "--action", str(wide)])
         assert result.exit_code == 1
         assert f"error: size must be between 0 and {MAX_GROUND_SIZE}" in result.output
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("relation", {"size": 4, "pairs": [[0, 1.9]]}),
+        ("relation", {"size": 4, "pairs": [[0, "1"]]}),
+        ("relation", {"size": "4", "pairs": []}),
+        ("action", {"size": 2, "perms": [[0.4, 1.2], [1.7, 0.3]]}),
+        ("action", {"size": 2, "perms": [[0, "1"], [1, 0]]}),
+    ])
+    def test_order_check_non_integer_entries_exit_one(self, runner, tmp_path, kind, payload):
+        paths = {"relation": DATA / "relation_example.json", "action": DATA / "action_example.json"}
+        paths[kind] = tmp_path / "bad.json"
+        paths[kind].write_text(json.dumps(payload))
+        result = runner.invoke(main, ["order", "check", "--relation", str(paths["relation"]),
+                                      "--action", str(paths["action"])])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
+        assert "expected integers" in result.output
 
     def test_counterexample_n_above_harmonic_cap_exit_one(self, runner):
         result = runner.invoke(main, ["timbre", "counterexample", "--n", "100000"])

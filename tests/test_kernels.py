@@ -12,12 +12,12 @@ import pytest
 
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
-from qorder.setclass import PitchClassSet, SetClass, class_leq, span_limited_classes
+from qorder.setclass import PitchClassSet, SetClass, span_limited_classes
 from qorder.simplex import LPStandardForm, equality_form, iteration_budget
 from qorder.timbre import TimbralVector
 
 from reference_simplex import loop_simplex_solve
-from structures import random_simplex
+from structures import class_leq, random_simplex
 
 # design instances per harmonic count; each yields three LPs, 1242 in all
 DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}

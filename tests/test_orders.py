@@ -13,7 +13,7 @@ from qorder.orders import (
     action_from_json,
     action_properties,
     action_to_json,
-    induced_relation,
+    induced_relations,
     minimal_elements,
     maximal_elements,
     orbits,
@@ -38,6 +38,10 @@ from structures import (
 )
 
 
+def as_tuples(perms):
+    return tuple(map(tuple, perms.tolist()))
+
+
 def chain(n):
     table = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -60,6 +64,19 @@ class TestGroupAction:
         with pytest.raises(ValueError, match="permutation"):
             GroupAction(2, ((0, 0),))
 
+    def test_permutation_check_matches_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            size = int(rng.integers(0, 6))
+            rows = rng.integers(-1, size + 1, size=(int(rng.integers(0, 4)), size))
+            rows[rng.random(len(rows)) < 0.5] = rng.permutation(size)
+            valid = all(sorted(row) == list(range(size)) for row in rows.tolist())
+            if valid:
+                assert np.array_equal(orders._permutation_array(size, rows), rows)
+            else:
+                with pytest.raises(ValueError, match="not a permutation"):
+                    orders._permutation_array(size, rows)
+
     def test_from_generators_closes(self):
         action = GroupAction.from_generators(3, [(1, 2, 0)])
         assert len(action) == 3
@@ -77,13 +94,14 @@ class TestGroupAction:
     def test_json_round_trip(self):
         action = GroupAction.from_generators(3, [(1, 2, 0)])
         again = action_from_json(action_to_json(action))
-        assert again.perms == action.perms
+        assert as_tuples(again.perms) == as_tuples(action.perms)
 
     def test_empty_ground_set(self):
         action = GroupAction(0, ((),))
-        assert action.perms == ((),)
+        assert as_tuples(action.perms) == ((),)
         assert orbits(action).orbits == ()
-        assert induced_relation(FiniteRelation(0, np.zeros((0, 0))), action, "weak").relation.size == 0
+        _, weak = induced_relations(FiniteRelation(0, np.zeros((0, 0))), action)
+        assert weak.relation.size == 0
 
     def test_every_s3_subset_with_identity(self):
         identity, *others = itertools.permutations(range(3))
@@ -103,7 +121,7 @@ class TestGroupAction:
                 chosen = [p for p in perms[1:] if rng.random() < rng.uniform(0.0, 0.4)]
             else:
                 gens = [perms[i] for i in rng.choice(24, size=int(rng.integers(1, 3)))]
-                chosen = list(GroupAction.from_generators(4, gens).perms[1:])
+                chosen = list(as_tuples(GroupAction.from_generators(4, gens).perms[1:]))
                 if trial % 4 and chosen:  # a subgroup less one element
                     chosen.pop(int(rng.integers(len(chosen))))
             order = rng.permutation(len(chosen) + 1)
@@ -116,7 +134,8 @@ class TestGroupAction:
         start = time.perf_counter()
         action = GroupAction(7, tuple(reversed(perms)))
         assert time.perf_counter() - start < 1.0
-        assert action.perms == tuple(perms)
+        assert as_tuples(action.perms) == tuple(perms)
+        assert action.perms.dtype == np.intp and not action.perms.flags.writeable
         with pytest.raises(ValueError, match="closed"):
             GroupAction(7, tuple(perms[:2000] + perms[2001:]))
 
@@ -138,13 +157,12 @@ def agrees_with_reference(size, listed, rng):
         assert "closed" in str(exc)
         return False
     action = GroupAction(size, tuple(listed))
-    assert action.perms == expected
+    assert as_tuples(action.perms) == expected
     quotient = orbits(action)
     assert (quotient.class_index, quotient.orbits) == reference_orbits(action)
     rel = FiniteRelation(size, rng.random((size, size)) < rng.uniform(0.0, 0.7))
-    for mode in ("strong", "weak"):
-        table = induced_relation(rel, action, mode).relation.holds
-        assert np.array_equal(table, reference_induced_table(rel, action, mode))
+    for mode, induced in zip(("strong", "weak"), induced_relations(rel, action)):
+        assert np.array_equal(induced.relation.holds, reference_induced_table(rel, action, mode))
     props = action_properties(rel, action)
     assert (props.increasing, props.transverse) == reference_action_properties(rel, action)
     assert_generator_check_agrees(rel, action, rng)
@@ -155,7 +173,8 @@ def assert_generator_check_agrees(rel, action, rng):
     """The generators the closure walk keeps generate the group, and the
     generator-only "increasing" check agrees with the all-permutation loop on
     a relation preserved by the subgroup of one random member."""
-    assert GroupAction.from_generators(action.size, action._generators).perms == action.perms
+    generated = GroupAction.from_generators(action.size, action._generators)
+    assert as_tuples(generated.perms) == as_tuples(action.perms)
     member = action.perms[int(rng.integers(len(action)))]
     invariant = force_increasing(rel, GroupAction.from_generators(action.size, [member]))
     props = action_properties(invariant, action)
@@ -190,14 +209,12 @@ class TestInducedRelation:
     def test_matches_reference_on_powersets(self):
         for n in range(1, 7):
             rel, action = powerset_inclusion(n)
-            for mode in ("strong", "weak"):
-                table = induced_relation(rel, action, mode).relation.holds
-                assert np.array_equal(table, reference_induced_table(rel, action, mode))
+            for mode, quotient in zip(("strong", "weak"), induced_relations(rel, action)):
+                assert np.array_equal(quotient.relation.holds, reference_induced_table(rel, action, mode))
 
     def test_z2_subsets_chain_both_modes(self):
         rel, action = powerset_inclusion(2)
-        for mode in ("strong", "weak"):
-            quotient = induced_relation(rel, action, mode)
+        for quotient in induced_relations(rel, action):
             axioms = relation_axioms(quotient.relation)
             assert axioms.partial_order
             # [{}] <= [{0}] <= [{0,1}] with orbit ids 0, 1, 2
@@ -210,8 +227,7 @@ class TestInducedRelation:
         # reflexive + 0 <= 1; action swaps (0 2)(1 3)
         rel = reflexive_closure(FiniteRelation.from_pairs(4, [(0, 1)]))
         action = GroupAction.from_generators(4, [(2, 3, 0, 1)])
-        weak = induced_relation(rel, action, "weak").relation
-        strong = induced_relation(rel, action, "strong").relation
+        strong, weak = (quotient.relation for quotient in induced_relations(rel, action))
         a = orbits(action).class_index[0]
         b = orbits(action).class_index[1]
         assert weak.holds[a, b]
@@ -223,21 +239,14 @@ class TestInducedRelation:
         rng = np.random.default_rng(7)
         rel = random_partial_order(rng, 5)
         action = GroupAction(5, (tuple(range(5)),))
-        for mode in ("strong", "weak"):
-            quotient = induced_relation(rel, action, mode)
+        for quotient in induced_relations(rel, action):
             assert (quotient.relation.holds == rel.holds).all()
 
     def test_size_mismatch(self):
         rel = chain(3)
         action = GroupAction(2, ((0, 1),))
         with pytest.raises(ValueError, match="mismatch"):
-            induced_relation(rel, action, "strong")
-
-    def test_bad_mode(self):
-        rel = chain(2)
-        action = GroupAction(2, ((0, 1),))
-        with pytest.raises(ValueError, match="mode"):
-            induced_relation(rel, action, "both")
+            induced_relations(rel, action)
 
 
 class TestActionProperties:
@@ -340,41 +349,23 @@ class TestMinimalElements:
         rel = FiniteRelation(3, np.eye(3, dtype=bool))
         assert minimal_elements(rel) == {0, 1, 2}
 
-    def test_subset_argument(self):
-        assert minimal_elements(chain(4), subset={2, 3}) == {2}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            minimal_elements(chain(3), subset={5})
-        with pytest.raises(ValueError, match="element id -1 out of range"):
-            minimal_elements(chain(3), subset=[0, -1, 0])
-
     def test_matches_brute_force(self):
-        # any relation, reflexive or not; subsets drawn with repeats
+        # any relation, reflexive or not: whole ground sets, and relations
+        # restricted to a subset with np.ix_, the subset drawn with repeats
         rng = np.random.default_rng(23)
         for trial in range(300):
             size = int(rng.integers(0, 10))
             holds = rng.random((size, size)) < rng.uniform(0.0, 0.6)
-            rel = FiniteRelation(size, holds)
-            if trial % 3 == 0:
-                subset = None
-                ids = set(range(size))
-            else:
-                subset = rng.integers(0, max(size, 1), size=int(rng.integers(0, 2 * size + 1)))
-                subset = subset[subset < size].tolist()
-                ids = set(subset)
-            expected = {i for i in ids if not any(holds[j, i] for j in ids if j != i)}
-            assert minimal_elements(rel, subset) == expected
-
-    def test_validate_checks_only_the_subset(self):
-        # 0 and 1 form a cycle; the subset {1, 2} is a chain
-        rel = reflexive_closure(FiniteRelation.from_pairs(3, [(0, 1), (1, 0), (1, 2)]))
-        assert minimal_elements(rel, subset=[2, 1, 2], validate=True) == {1}
-
-    def test_validate_rejects_non_order(self):
-        rel = FiniteRelation.from_pairs(2, [(0, 1), (1, 0)])
-        with pytest.raises(ValueError, match="partial order"):
-            minimal_elements(rel, validate=True)
+            if trial % 3:
+                drawn = rng.integers(0, max(size, 1), size=int(rng.integers(0, 2 * size + 1)))
+                ids = np.unique(drawn[drawn < size])
+                holds = holds[np.ix_(ids, ids)]
+            rel = FiniteRelation(len(holds), holds)
+            ids = range(len(holds))
+            below = {i for i in ids if not any(holds[j, i] for j in ids if j != i)}
+            above = {i for i in ids if not any(holds[i, j] for j in ids if j != i)}
+            assert minimal_elements(rel) == below
+            assert maximal_elements(rel) == above
 
 
 def warshall_closure(holds):
@@ -481,8 +472,7 @@ class TestQuotientOrderFacts:
             size = int(rng.integers(2, 9))
             rel = random_partial_order(rng, size)
             action = random_group_action(rng, size)
-            strong = induced_relation(rel, action, "strong").relation
-            weak = induced_relation(rel, action, "weak").relation
+            strong, weak = (quotient.relation for quotient in induced_relations(rel, action))
             assert np.array_equal(strong.holds, reference_induced_table(rel, action, "strong"))
             assert np.array_equal(weak.holds, reference_induced_table(rel, action, "weak"))
             axioms = relation_axioms(strong)
@@ -504,8 +494,7 @@ class TestQuotientOrderFacts:
             # an invariant preorder makes the action increasing by construction
             invariant = force_increasing(rel, action)
             assert action_properties(invariant, action).increasing
-            s2 = induced_relation(invariant, action, "strong").relation
-            w2 = induced_relation(invariant, action, "weak").relation
+            s2, w2 = (quotient.relation for quotient in induced_relations(invariant, action))
             assert (s2.holds == w2.holds).all()
         assert seen_transverse > 5
 
@@ -514,8 +503,8 @@ class TestQuotientOrderFacts:
             rel, action = powerset_inclusion(n)
             props = action_properties(rel, action)
             assert props.increasing and props.transverse
-            strong = induced_relation(rel, action, "strong").relation
-            assert relation_axioms(strong).partial_order
+            strong, _ = induced_relations(rel, action)
+            assert relation_axioms(strong.relation).partial_order
 
 
 class TestRelationJson:
@@ -539,6 +528,40 @@ class TestRelationJson:
             relation_from_json({"size": size, "pairs": []})
         with pytest.raises(ValueError, match=f"size must be between 0 and {MAX_GROUND_SIZE}"):
             action_from_json({"size": size, "perms": [list(range(max(size, 0)))]})
+
+    def test_integral_floats_accepted(self):
+        rel = relation_from_json({"size": 2.0, "pairs": [[0, 1.0]]})
+        assert rel.pairs() == [(0, 1)]
+        action = action_from_json({"size": 2, "perms": [[0.0, 1.0], [1, 0]]})
+        assert as_tuples(action.perms) == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("data", [
+        {"size": 2, "pairs": [[0, 1.9]]},
+        {"size": 2, "pairs": [[0, "1"]]},
+        {"size": "2", "pairs": []},
+        {"size": 2, "pairs": [[0, None]]},
+        {"size": 2, "pairs": [[0, float("nan")]]},
+        {"size": 2, "pairs": [[0, 1e30]]},
+        {"size": 2, "pairs": [[0, 1], [1]]},
+        {"size": 2, "pairs": [0, 1]},
+        {"size": [2], "pairs": []},
+    ])
+    def test_relation_refuses_non_integers(self, data):
+        with pytest.raises(ValueError):
+            relation_from_json(data)
+
+    @pytest.mark.parametrize("perms", [
+        [[0.4, 1.2], [1.7, 0.3]],
+        [[0, "1"]],
+        [["0", "1"]],
+        [[0, 1], [1]],
+        [[0, float("inf")]],
+    ])
+    def test_action_refuses_non_integers(self, perms):
+        with pytest.raises(ValueError, match="integers"):
+            action_from_json({"size": 2, "perms": perms})
+        with pytest.raises(ValueError, match="integers"):
+            GroupAction(2, perms)
 
     def test_size_at_bound_accepted(self):
         assert relation_from_json({"size": MAX_GROUND_SIZE, "pairs": [[0, 1]]}).holds[0, 1]

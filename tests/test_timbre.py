@@ -29,6 +29,14 @@ class TestTimbralVector:
         with pytest.raises(ValueError, match="sums"):
             tv(0.5, 0.4)
 
+    @pytest.mark.parametrize("power, problem", [
+        ([np.nan, 1.0], "sums to nan"), ([0.5, np.nan], "sums to nan"),
+        ([np.inf, 1.0], "sums to inf"), ([1.0, -np.inf], "negative"),
+    ])
+    def test_rejects_non_finite(self, power, problem):
+        with pytest.raises(ValueError, match=problem):
+            TimbralVector(power)
+
     def test_clamps_float_noise(self):
         v = TimbralVector([1.0 + 5e-10, -5e-10])
         assert v.power[1] == 0.0
