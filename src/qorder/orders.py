@@ -147,16 +147,26 @@ class GroupAction:
             if bytes(perm) not in generated:
                 gens.append(i)
                 generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
-        listed.setflags(write=False)
-        object.__setattr__(self, "perms", listed)
-        object.__setattr__(self, "_generators", listed[gens])
+        self._adopt(listed, listed[gens])
+
+    def _adopt(self, perms: np.ndarray, generators: np.ndarray) -> None:
+        perms.setflags(write=False)
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "_generators", generators)
 
     @classmethod
     def from_generators(
         cls, size: int, generators: Sequence[Sequence[int]] | np.ndarray, cap: int = 100_000
     ) -> "GroupAction":
-        """Close a generator set under composition (identity added automatically)."""
-        return cls(size, _closure(_permutation_array(size, generators), cap=cap))
+        """Close a generator set under composition (identity added automatically).
+        The closure is a group, so it skips the constructor's closure check."""
+        gens = np.array(_permutation_array(size, generators))  # never the caller's array
+        closed = _closure(gens, cap=cap)
+        action = object.__new__(cls)
+        object.__setattr__(action, "size", size)
+        # lexsort's last key is its primary one; size 0 has one row and no keys
+        action._adopt(closed[np.lexsort(closed.T[::-1])] if size else closed, gens)
+        return action
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -302,22 +312,6 @@ def relation_axioms(rel: FiniteRelation) -> RelationAxioms:
     return RelationAxioms(reflexive, antisymmetric, transitive)
 
 
-def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
-    """Smallest transitive relation containing ``rel``."""
-    closure = rel.holds.copy()
-    while True:
-        step = _two_step(closure) | closure
-        if bool((step == closure).all()):
-            break
-        closure = step
-    return FiniteRelation(rel.size, closure)
-
-
-def reflexive_closure(rel: FiniteRelation) -> FiniteRelation:
-    table = rel.holds | np.eye(rel.size, dtype=bool)
-    return FiniteRelation(rel.size, table)
-
-
 def minimal_elements(rel: FiniteRelation) -> set[int]:
     """Elements with no distinct predecessor.  The caller is responsible for
     ``rel`` being a partial order."""
@@ -369,10 +363,6 @@ def submajorize_compare(
 # JSON wire formats ---------------------------------------------------------
 
 
-def relation_to_json(rel: FiniteRelation) -> dict:
-    return {"size": rel.size, "pairs": sorted(rel.pairs())}
-
-
 def _ground_size(data: dict, kind: str) -> int:
     """The checked ``size`` of a relation or action JSON object."""
     try:
@@ -391,10 +381,6 @@ def relation_from_json(data: dict) -> FiniteRelation:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed relation JSON: {exc}") from exc
     return FiniteRelation.from_pairs(size, pairs)
-
-
-def action_to_json(action: GroupAction) -> dict:
-    return {"size": action.size, "perms": action.perms.tolist()}
 
 
 def action_from_json(data: dict) -> GroupAction:

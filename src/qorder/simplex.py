@@ -117,12 +117,6 @@ def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None)
     of the same instance return the same vertex.
     """
     nv = lp.n_vars
-    if lp.a_ub.shape[0] + lp.a_eq.shape[0] == 0:
-        # v = 0 is optimal iff no cost is negative (v >= 0, unconstrained above)
-        if bool((lp.objective < -tol).any()):
-            return LPResult(np.zeros(nv), float("nan"), LPStatus.UNBOUNDED)
-        return LPResult(np.zeros(nv), 0.0, LPStatus.OPTIMAL)
-
     a, b, c = equality_form(lp)
     if max_iter is None:
         max_iter = iteration_budget(a)

@@ -7,13 +7,34 @@ import itertools
 
 import numpy as np
 
-from qorder.orders import (
-    FiniteRelation,
-    GroupAction,
-    reflexive_closure,
-    transitive_closure,
-)
+from qorder.orders import FiniteRelation, GroupAction
 from qorder.setclass import SetClass
+
+
+def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
+    """Smallest transitive relation containing ``rel``, by repeated squaring."""
+    closure = rel.holds.copy()
+    while True:
+        weights = closure.astype(float)
+        step = closure | ((weights @ weights) > 0)
+        if bool((step == closure).all()):
+            break
+        closure = step
+    return FiniteRelation(rel.size, closure)
+
+
+def reflexive_closure(rel: FiniteRelation) -> FiniteRelation:
+    return FiniteRelation(rel.size, rel.holds | np.eye(rel.size, dtype=bool))
+
+
+def relation_to_json(rel: FiniteRelation) -> dict:
+    """The wire format that ``relation_from_json`` reads."""
+    return {"size": rel.size, "pairs": sorted(rel.pairs())}
+
+
+def action_to_json(action: GroupAction) -> dict:
+    """The wire format that ``action_from_json`` reads."""
+    return {"size": action.size, "perms": action.perms.tolist()}
 
 
 def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:

@@ -278,6 +278,23 @@ def test_a10_infimum_fails_for_four_harmonics():
         assert float(np.abs(z.power - p.power).sum()) - sol.objective > 1e-4
 
 
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_a10_fixed_witness_infimum_gap(n):
+    # suffix excesses e = (0.2, 0, 0.1) have an interior valley, so the
+    # infimum sits 0.6 from the target against the optimum 2 * 0.2; zero-power
+    # harmonics above the fourth keep the same gap at every n
+    with criterion(f"A10 infimum suboptimal at n={n} (fixed witness)"):
+        pad = np.zeros(n - 4)
+        p = q.TimbralVector(np.concatenate([[0.1, 0.4, 0.1, 0.4], pad]))
+        b = q.TimbralVector(np.concatenate([[0.2, 0.2, 0.4, 0.2], pad]))
+        z = q.infimum(b, p)
+        sol = q.solve_design(q.DesignProblem(p, b))
+        assert sol.status is DesignStatus.OPTIMAL
+        assert float(np.abs(z.power - p.power).sum()) == pytest.approx(0.6, abs=1e-12)
+        assert sol.objective == pytest.approx(0.4, abs=1e-12)
+        assert q.closest_to_target_optimum(p, b) == pytest.approx(0.4, abs=1e-12)
+
+
 def test_a11_fixture_hasse_matches_committed_diagram():
     with criterion("A11 fixture brightness diagram"):
         vectors = q.load_fixture_collection()

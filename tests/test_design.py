@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from qorder.design import (
     to_lp,
 )
 from qorder.orders import Comparison
+from qorder.simplex import LPResult
 from qorder.spectra import MAX_HARMONICS
 from qorder.timbre import (
     TimbralVector,
@@ -222,6 +224,66 @@ class TestClosedForms:
             assert float(np.abs(x - prob.bound.power).sum()) <= direct - optimum + 1e-8
 
 
+class TestCertificate:
+    """Every design LP answer is checked against its closed form."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        solve = design.lp_solve
+
+        def record(lp, *args, **kwargs):
+            calls.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(design, "lp_solve", record)
+        return calls
+
+    @pytest.fixture(params=[1e-6, -1e-6], ids=["high", "low"])
+    def skewed_lp(self, request, monkeypatch):
+        solve = design.lp_solve
+
+        def skewed(lp, *args, **kwargs):
+            res = solve(lp, *args, **kwargs)
+            return LPResult(res.x, res.cost + request.param, res.status)
+
+        monkeypatch.setattr(design, "lp_solve", skewed)
+
+    @pytest.mark.parametrize("solve", [
+        lambda prob: solve_design(prob),
+        lambda prob: solve_design(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE)),
+        solve_closest_to_bound,
+    ], ids=["l1min", "l1min2", "closest-to-bound"])
+    def test_wrong_objective_is_numerical_failure(self, skewed_lp, solve):
+        for prob in (problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2]),
+                     problem([0.6, 0.2, 0.2], [0.2, 0.2, 0.6])):
+            sol = solve(prob)
+            assert sol.status is DesignStatus.NUMERICAL_FAILURE
+            assert sol.x is None and math.isnan(sol.objective)
+
+    def test_closest_to_bound_solves_one_lp(self, lp_calls):
+        rng = np.random.default_rng(108)
+        for n in (2, 3, 4, 16):
+            prob = random_problem(rng, n)
+            lp_calls.clear()
+            assert solve_closest_to_bound(prob).status is DesignStatus.OPTIMAL
+            assert len(lp_calls) == 1
+            # the stage-two LP: 3n variables and a budget row after the bi-objective rows
+            assert lp_calls[0].n_vars == 3 * n
+            assert lp_calls[0].b_ub[-1] == closest_to_target_optimum(prob.target, prob.bound) + design.STAGE_TWO_SLACK
+
+    def test_certified_answers_sit_within_tolerance(self):
+        rng = np.random.default_rng(109)
+        for n in (2, 3, 5, 8, 32):
+            for _ in range(5):
+                prob = random_problem(rng, n)
+                optimum = closest_to_target_optimum(prob.target, prob.bound)
+                assert abs(solve_design(prob).objective - optimum) <= design.CERTIFICATE_TOL
+                sol = solve_closest_to_bound(prob)
+                assert sol.status is DesignStatus.OPTIMAL
+                assert abs(sol.objective - optimum) <= 1e-8
+
+
 class TestOracle:
     def test_target_equal_bound(self):
         sol = grid_solve(problem([0.3, 0.3, 0.4], [0.3, 0.3, 0.4]), 0.02)
@@ -348,13 +410,15 @@ class TestCounterexampleSearch:
         assert counterexample_search(4, 10_000, seed=0).trial_index == 18
         assert len(solves) == 1
 
-    @pytest.mark.parametrize("certificate", [
-        lambda sol: DesignSolution(sol.x, sol.objective + 1e-6, sol.status),
-        lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE),
+    # a wrong LP objective fails solve_design's own certificate, and so the hit
+    @pytest.mark.parametrize("name, certificate", [
+        ("lp_solve", lambda res: LPResult(res.x, res.cost + 1e-6, res.status)),
+        ("solve_design", lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE)),
     ], ids=["wrong-objective", "not-optimal"])
-    def test_certificate_disagreement_raises(self, monkeypatch, certificate):
-        monkeypatch.setattr(design, "solve_design", lambda problem: certificate(solve_design(problem)))
-        with pytest.raises(RuntimeError, match="trial 18: "):
+    def test_certificate_disagreement_raises(self, monkeypatch, name, certificate):
+        solve = getattr(design, name)
+        monkeypatch.setattr(design, name, lambda *args: certificate(solve(*args)))
+        with pytest.raises(RuntimeError, match="trial 18: the certificate LP gives numerical_failure"):
             counterexample_search(4, 100, seed=0)
 
     # the closed-form decision finds the instances an LP per trial finds, with the same numbers

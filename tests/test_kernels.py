@@ -48,6 +48,7 @@ def recorded_design_lps(monkeypatch, n, count, seed):
     for _ in range(count):
         target = TimbralVector(random_simplex(rng, n))
         bound = TimbralVector(random_simplex(rng, n))
+        design.solve_design(DesignProblem(target, bound))
         design.solve_closest_to_bound(DesignProblem(target, bound))
         design.solve_design(DesignProblem(target, bound, Variant.BI_OBJECTIVE))
     monkeypatch.undo()

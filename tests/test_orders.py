@@ -12,21 +12,18 @@ from qorder.orders import (
     GroupAction,
     action_from_json,
     action_properties,
-    action_to_json,
     induced_relations,
     minimal_elements,
     maximal_elements,
     orbits,
-    reflexive_closure,
     relation_axioms,
     relation_from_json,
-    relation_to_json,
     submajorize_compare,
-    transitive_closure,
     transitive_reduction,
 )
 
 from structures import (
+    action_to_json,
     force_increasing,
     powerset_inclusion,
     random_group_action,
@@ -35,6 +32,9 @@ from structures import (
     reference_group_perms,
     reference_induced_table,
     reference_orbits,
+    reflexive_closure,
+    relation_to_json,
+    transitive_closure,
 )
 
 
@@ -90,6 +90,26 @@ class TestGroupAction:
             GroupAction.from_generators(3, [(1, 2)])
         with pytest.raises(ValueError, match="permutation"):
             GroupAction.from_generators(2, [(-1, 0)])
+
+    @pytest.mark.parametrize("size, gens", [
+        (12, [tuple(np.roll(range(12), 1))]),
+        (9, [tuple(np.roll(range(9), 1)), tuple((-np.arange(9)) % 9)]),
+        (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    ], ids=["cyclic", "dihedral", "s5"])
+    def test_from_generators_matches_constructor(self, size, gens):
+        caller = np.array(gens, dtype=np.intp)
+        action = GroupAction.from_generators(size, caller)
+        assert caller.flags.writeable
+        checked = GroupAction(size, action.perms.tolist())
+        assert action.size == checked.size
+        assert action.perms.dtype == np.intp and not action.perms.flags.writeable
+        assert np.array_equal(action.perms, checked.perms)
+        rng = np.random.default_rng(size)
+        member = action.perms[int(rng.integers(len(action)))]
+        for rel in (FiniteRelation(size, rng.random((size, size)) < 0.3),
+                    force_increasing(chain(size), GroupAction.from_generators(size, [member])),
+                    force_increasing(chain(size), action)):
+            assert action_properties(rel, action) == action_properties(rel, checked)
 
     def test_json_round_trip(self):
         action = GroupAction.from_generators(3, [(1, 2, 0)])

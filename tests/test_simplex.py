@@ -48,6 +48,20 @@ class TestBasics:
         assert solve([1.0, 2.0]).status is LPStatus.OPTIMAL
         assert solve([-1.0]).status is LPStatus.UNBOUNDED
 
+    @pytest.mark.parametrize("c", [[1.0, 2.0], [0.0], [-1e-12, 3.0]])
+    def test_no_constraints_optimal_at_origin(self, c):
+        # a cost within tol of zero does not enter
+        result = solve(c)
+        assert result.status is LPStatus.OPTIMAL
+        assert result.x.tolist() == [0.0] * len(c)
+        assert result.cost == 0.0
+
+    @pytest.mark.parametrize("c", [[-1.0], [2.0, -0.5]])
+    def test_no_constraints_unbounded(self, c):
+        result = solve(c)
+        assert result.status is LPStatus.UNBOUNDED
+        assert np.isnan(result.cost)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LPStandardForm([1.0], [[1.0, 2.0]], [1.0], np.zeros((0, 1)), [])
