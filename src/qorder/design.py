@@ -110,14 +110,13 @@ def to_lp(problem: DesignProblem) -> LPStandardForm:
 
 def _certified(n: int, result: LPResult, optimum: float, slack: float = 0.0) -> DesignSolution:
     """The answer of an LP whose optimum lies in [optimum - slack, optimum]; an
-    objective farther than ``CERTIFICATE_TOL`` from that range is a numerical failure."""
+    objective farther than ``CERTIFICATE_TOL`` from that range is a numerical
+    failure, which keeps the rejected objective and no point."""
     status = _DESIGN_STATUS[result.status]
-    if status is DesignStatus.OPTIMAL and not (
-        optimum - slack - CERTIFICATE_TOL <= result.cost <= optimum + CERTIFICATE_TOL
-    ):
-        status = DesignStatus.NUMERICAL_FAILURE
     if status is not DesignStatus.OPTIMAL:
         return DesignSolution(None, float("nan"), status)
+    if not optimum - slack - CERTIFICATE_TOL <= result.cost <= optimum + CERTIFICATE_TOL:
+        return DesignSolution(None, result.cost, DesignStatus.NUMERICAL_FAILURE)
     return DesignSolution(TimbralVector(result.x[:n]), result.cost, status)
 
 
@@ -261,7 +260,8 @@ def counterexample_search(
             continue
         solution = solve_design(DesignProblem(tp, tb))
         if solution.status is not DesignStatus.OPTIMAL:
-            raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value}")
+            raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value} "
+                               f"objective {solution.objective!r}, the closed form {optimum!r}")
         return SearchReport(
             n=n,
             trials=trials,

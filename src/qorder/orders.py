@@ -147,26 +147,16 @@ class GroupAction:
             if bytes(perm) not in generated:
                 gens.append(i)
                 generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
-        self._adopt(listed, listed[gens])
-
-    def _adopt(self, perms: np.ndarray, generators: np.ndarray) -> None:
-        perms.setflags(write=False)
-        object.__setattr__(self, "perms", perms)
-        object.__setattr__(self, "_generators", generators)
+        listed.setflags(write=False)
+        object.__setattr__(self, "perms", listed)
+        object.__setattr__(self, "_generators", listed[gens])
 
     @classmethod
     def from_generators(
         cls, size: int, generators: Sequence[Sequence[int]] | np.ndarray, cap: int = 100_000
     ) -> "GroupAction":
-        """Close a generator set under composition (identity added automatically).
-        The closure is a group, so it skips the constructor's closure check."""
-        gens = np.array(_permutation_array(size, generators))  # never the caller's array
-        closed = _closure(gens, cap=cap)
-        action = object.__new__(cls)
-        object.__setattr__(action, "size", size)
-        # lexsort's last key is its primary one; size 0 has one row and no keys
-        action._adopt(closed[np.lexsort(closed.T[::-1])] if size else closed, gens)
-        return action
+        """Close a generator set under composition (identity added automatically)."""
+        return cls(size, _closure(_permutation_array(size, generators), cap=cap))
 
     def __len__(self) -> int:
         return len(self.perms)

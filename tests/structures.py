@@ -7,16 +7,16 @@ import itertools
 
 import numpy as np
 
-from qorder.orders import FiniteRelation, GroupAction
+from qorder.orders import FiniteRelation, GroupAction, _two_step
 from qorder.setclass import SetClass
 
 
 def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
-    """Smallest transitive relation containing ``rel``, by repeated squaring."""
+    """Smallest transitive relation containing ``rel``, by repeated squaring
+    with the product kernel's :func:`qorder.orders._two_step`."""
     closure = rel.holds.copy()
     while True:
-        weights = closure.astype(float)
-        step = closure | ((weights @ weights) > 0)
+        step = closure | _two_step(closure)
         if bool((step == closure).all()):
             break
         closure = step

@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -241,13 +240,16 @@ class TestCertificate:
 
     @pytest.fixture(params=[1e-6, -1e-6], ids=["high", "low"])
     def skewed_lp(self, request, monkeypatch):
+        costs = []
         solve = design.lp_solve
 
         def skewed(lp, *args, **kwargs):
             res = solve(lp, *args, **kwargs)
-            return LPResult(res.x, res.cost + request.param, res.status)
+            costs.append(res.cost + request.param)
+            return LPResult(res.x, costs[-1], res.status)
 
         monkeypatch.setattr(design, "lp_solve", skewed)
+        return costs
 
     @pytest.mark.parametrize("solve", [
         lambda prob: solve_design(prob),
@@ -259,7 +261,8 @@ class TestCertificate:
                      problem([0.6, 0.2, 0.2], [0.2, 0.2, 0.6])):
             sol = solve(prob)
             assert sol.status is DesignStatus.NUMERICAL_FAILURE
-            assert sol.x is None and math.isnan(sol.objective)
+            # the rejected objective is kept for diagnosis
+            assert sol.x is None and sol.objective == skewed_lp[-1]
 
     def test_closest_to_bound_solves_one_lp(self, lp_calls):
         rng = np.random.default_rng(108)
@@ -411,14 +414,16 @@ class TestCounterexampleSearch:
         assert len(solves) == 1
 
     # a wrong LP objective fails solve_design's own certificate, and so the hit
-    @pytest.mark.parametrize("name, certificate", [
-        ("lp_solve", lambda res: LPResult(res.x, res.cost + 1e-6, res.status)),
-        ("solve_design", lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE)),
+    @pytest.mark.parametrize("name, certificate, objective", [
+        ("lp_solve", lambda res: LPResult(res.x, res.cost + 1e-6, res.status), r"0\.6844856\d*"),
+        ("solve_design", lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE),
+         "nan"),
     ], ids=["wrong-objective", "not-optimal"])
-    def test_certificate_disagreement_raises(self, monkeypatch, name, certificate):
+    def test_certificate_disagreement_raises(self, monkeypatch, name, certificate, objective):
         solve = getattr(design, name)
         monkeypatch.setattr(design, name, lambda *args: certificate(solve(*args)))
-        with pytest.raises(RuntimeError, match="trial 18: the certificate LP gives numerical_failure"):
+        with pytest.raises(RuntimeError, match="trial 18: the certificate LP gives numerical_failure "
+                           rf"objective {objective}, the closed form 0\.6844846\d*$"):
             counterexample_search(4, 100, seed=0)
 
     # the closed-form decision finds the instances an LP per trial finds, with the same numbers
