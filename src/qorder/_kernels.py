@@ -5,15 +5,20 @@ set-class enumeration and the class subset order; ``simplex_solve`` is the
 pivot loop behind every LP.  The tests check the simplex against a scalar
 loop form of the same pivot sequence (``tests/reference_simplex.py``).
 
-Simplex status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 iteration limit.
+``simplex_solve`` reports its outcome as an ``LPStatus``.
 """
+
+import enum
 
 import numpy as np
 
-SIMPLEX_OPTIMAL = 0
-SIMPLEX_INFEASIBLE = 1
-SIMPLEX_UNBOUNDED = 2
-SIMPLEX_ITERATION_LIMIT = 3
+
+class LPStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    ITERATION_LIMIT = "iteration_limit"
+
 
 _FEAS_TOL = 1e-7
 
@@ -98,7 +103,7 @@ def simplex_solve(a, b, c, tol, max_iter):
     out by the first phase.  Artificial columns never enter and no pivot
     decision reads them, so the tableau leaves them out.  Bland's rule
     (lowest eligible entering column; ratio ties broken by the lowest basis
-    variable) guarantees termination.  Returns (status, v).
+    variable) guarantees termination.  Returns (LPStatus, v).
     """
     m, n = a.shape
     t = np.zeros((m + 1, n + 1))
@@ -117,7 +122,7 @@ def simplex_solve(a, b, c, tol, max_iter):
     for phase in range(2):
         if phase == 1:
             if -t[m, n] > _FEAS_TOL:
-                return SIMPLEX_INFEASIBLE, np.zeros(n)
+                return LPStatus.INFEASIBLE, np.zeros(n)
             # drive leftover artificials out of the basis; zero redundant rows
             for r in (basis >= n).nonzero()[0]:
                 found = (np.abs(t[r, :n]) > tol).nonzero()[0]
@@ -136,7 +141,7 @@ def simplex_solve(a, b, c, tol, max_iter):
 
         while True:
             if iters >= max_iter:
-                return SIMPLEX_ITERATION_LIMIT, np.zeros(n)
+                return LPStatus.ITERATION_LIMIT, np.zeros(n)
             eligible = (costs < -tol).nonzero()[0]
             if not len(eligible):
                 break
@@ -144,7 +149,7 @@ def simplex_solve(a, b, c, tol, max_iter):
             col = body[:, enter]
             rows = (col > tol).nonzero()[0]
             if not len(rows):
-                return SIMPLEX_UNBOUNDED, np.zeros(n)
+                return LPStatus.UNBOUNDED, np.zeros(n)
             ratios = rhs[rows] / col[rows]
             ties = rows[ratios == ratios.min()]
             leave = ties[basis[ties].argmin()]
@@ -155,4 +160,4 @@ def simplex_solve(a, b, c, tol, max_iter):
     v = np.zeros(n)
     real = basis < n
     v[basis[real]] = rhs[real]
-    return SIMPLEX_OPTIMAL, v
+    return LPStatus.OPTIMAL, v

@@ -192,8 +192,8 @@ def timbre_hasse(directory: str, dot_path: str | None, tol: float, pad_to: int |
 @timbre_group.command("design")
 @click.option("--target", "target_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--bound", "bound_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--variant", type=click.Choice(["l1min", "l1min2", "closest-to-bound"]),
-              default="l1min", show_default=True)
+@click.option("--variant", type=click.Choice([v.value for v in design_mod.Variant]),
+              default=design_mod.Variant.CLOSEST_TO_TARGET.value, show_default=True)
 @click.option("--pad-to", "pad_to", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the solution JSON to this path.")
@@ -203,15 +203,8 @@ def timbre_design(target_path: str, bound_path: str, variant: str,
     """Find the timbre no brighter than the bound that best matches the target."""
     target = _load_vector(target_path, pad_to)
     bound = _load_vector(bound_path, pad_to)
-    if variant == "l1min2":
-        problem = design_mod.DesignProblem(target, bound, design_mod.Variant.BI_OBJECTIVE)
-        solution = design_mod.solve_design(problem)
-    else:
-        problem = design_mod.DesignProblem(target, bound, design_mod.Variant.CLOSEST_TO_TARGET)
-        if variant == "closest-to-bound":
-            solution = design_mod.solve_closest_to_bound(problem)
-        else:
-            solution = design_mod.solve_design(problem)
+    problem = design_mod.DesignProblem(target, bound, design_mod.Variant(variant))
+    solution = design_mod.solve_design(problem)
     if solution.status is design_mod.DesignStatus.OPTIMAL:
         payload = {
             "x": [float(v) for v in solution.x.power],

@@ -1,8 +1,9 @@
 """Constrained l1 sound design over the brightness order.
 
 Given a target timbre p and a brightness bound b, find a timbre x no brighter
-than b that is l1-closest to p, or that minimises the summed distance to both.
-Both problems become linear programs by the usual absolute-value split;
+than b that is l1-closest to p, that minimises the summed distance to both, or
+that is closest to b among the points closest to p.  Each problem becomes one
+linear program by the usual absolute-value split;
 simplex membership (sum 1, nonnegativity) is part of the constraint set so
 that the solution is itself a timbre.
 """
@@ -29,11 +30,14 @@ from .timbre import (
 STAGE_TWO_SLACK = 1e-9
 # largest disagreement between an LP objective and its closed form
 CERTIFICATE_TOL = 1e-9
+# brightness tolerance of solution_no_brighter_than_target
+NO_BRIGHTER_TOL = 1e-6
 
 
 class Variant(enum.Enum):
     CLOSEST_TO_TARGET = "l1min"
     BI_OBJECTIVE = "l1min2"
+    CLOSEST_TO_BOUND = "closest-to-bound"
 
 
 class DesignStatus(enum.Enum):
@@ -77,15 +81,18 @@ class DesignSolution:
 def to_lp(problem: DesignProblem) -> LPStandardForm:
     """Reformulate as an LP over (x, u) or (x, u, w).
 
-    u bounds |x - target| and w bounds |x - bound|; the objective sums the
-    active bound variables.  Inequalities: the two-sided splits, then the
-    suffix-sum rows keeping x no brighter than the bound.  One equality pins
-    the total power to 1.
+    u bounds |x - target| and w bounds |x - bound|; the objective sums u
+    (closest-to-target), u and w (bi-objective) or w alone (closest-to-bound).
+    Inequalities: the two-sided splits, then the suffix-sum rows keeping x no
+    brighter than the bound, then for closest-to-bound the budget row
+    sum(u) <= 2D + STAGE_TWO_SLACK (:func:`solve_closest_to_bound`).  One
+    equality pins the total power to 1.
     """
     n = problem.n
     p = problem.target.power
     b = problem.bound.power
-    bi = problem.variant is Variant.BI_OBJECTIVE
+    stage_two = problem.variant is Variant.CLOSEST_TO_BOUND
+    bi = stage_two or problem.variant is Variant.BI_OBJECTIVE
     n_vars = 3 * n if bi else 2 * n
 
     # 0.0 - eye, not -eye, so that every zero is +0.0
@@ -99,12 +106,16 @@ def to_lp(problem: DesignProblem) -> LPStandardForm:
     else:
         rows = [[eye, neg], [neg, neg], [suffix, zero]]
         b_ub = np.concatenate([p, -p, ceiling])
+    if stage_two:
+        rows.append([np.zeros((1, n)), np.ones((1, n)), np.zeros((1, n))])
+        budget = closest_to_target_optimum(problem.target, problem.bound) + STAGE_TWO_SLACK
+        b_ub = np.append(b_ub, budget)
     # what np.block does, at half its cost for small n
     a_ub = np.concatenate([np.concatenate(row, axis=1) for row in rows])
     a_eq = np.zeros((1, n_vars))
     a_eq[0, :n] = 1.0
     c = np.zeros(n_vars)
-    c[n:] = 1.0
+    c[2 * n if stage_two else n :] = 1.0
     return LPStandardForm(c, a_ub, b_ub, a_eq, np.array([1.0]))
 
 
@@ -126,9 +137,12 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     The reported objective is in raw l1 units (the summed split variables);
     halve it for total variation distance.  It is checked against 2D
     (:func:`closest_to_target_optimum`) or, bi-objective, ||p - b||_1 (the
-    triangle inequality, attained at x = b).  Solutions need not be unique;
-    the deterministic pivot rule fixes which vertex is returned.
+    triangle inequality, attained at x = b).  Closest-to-bound problems go to
+    :func:`solve_closest_to_bound`.  Solutions need not be unique; the
+    deterministic pivot rule fixes which vertex is returned.
     """
+    if problem.variant is Variant.CLOSEST_TO_BOUND:
+        return solve_closest_to_bound(problem)
     p, b = problem.target, problem.bound
     if problem.variant is Variant.BI_OBJECTIVE:
         optimum = float(np.abs(p.power - b.power).sum())
@@ -156,8 +170,9 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     """Among minimisers of the distance to the target, get closest to the bound.
 
     Stage one is the closed form: the least distance to the target is
-    2D = :func:`closest_to_target_optimum`, with no LP.  Stage two is one LP:
-    minimise ||x - b||_1 subject to the original constraints plus a budget
+    2D = :func:`closest_to_target_optimum`, with no LP.  Stage two is the one
+    LP that :func:`to_lp` builds for the closest-to-bound variant: minimise
+    ||x - b||_1 subject to the closest-to-target constraints plus a budget
     ||x - p||_1 <= 2D + STAGE_TWO_SLACK (exact equality on a floating optimum
     is brittle).  Its optimum is ||p - b||_1 - 2D, less at most the slack:
     the triangle inequality bounds it below, and a feasible point between p
@@ -166,39 +181,23 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     outside that range is NUMERICAL_FAILURE.  The reported objective is the
     distance to the target at the returned point.
     """
-    if problem.variant is not Variant.CLOSEST_TO_TARGET:
-        raise ValueError("two-stage refinement applies to the closest-to-target variant")
+    if problem.variant is not Variant.CLOSEST_TO_BOUND:
+        raise ValueError("two-stage refinement applies to the closest-to-bound variant")
     p, b = problem.target, problem.bound
     optimum = closest_to_target_optimum(p, b)
-
-    # the bi-objective LP over (x, u, w) plus a budget row on u, costing only w
-    lp = to_lp(DesignProblem(p, b, Variant.BI_OBJECTIVE))
-    n = problem.n
-    budget = np.zeros((1, 3 * n))
-    budget[0, n : 2 * n] = 1.0
-    c = np.zeros(3 * n)
-    c[2 * n :] = 1.0
-    lp = LPStandardForm(
-        c,
-        np.vstack([lp.a_ub, budget]),
-        np.concatenate([lp.b_ub, [optimum + STAGE_TWO_SLACK]]),
-        lp.a_eq,
-        lp.b_eq,
-    )
     direct = float(np.abs(p.power - b.power).sum())
-    stage_two = _certified(n, lp_solve(lp), direct - optimum, STAGE_TWO_SLACK)
+    stage_two = _certified(problem.n, lp_solve(to_lp(problem)), direct - optimum, STAGE_TWO_SLACK)
     if stage_two.x is None:
         return stage_two
     return replace(stage_two, objective=float(np.abs(stage_two.x.power - p.power).sum()))
 
 
-def solution_no_brighter_than_target(
-    problem: DesignProblem, solution: DesignSolution, tol: float = 1e-6
-) -> bool:
-    """Whether the solution sits at or below the target in the brightness order."""
+def solution_no_brighter_than_target(problem: DesignProblem, solution: DesignSolution) -> bool:
+    """Whether the solution sits at or below the target in the brightness order,
+    within ``NO_BRIGHTER_TOL``."""
     if solution.status is not DesignStatus.OPTIMAL or solution.x is None:
         raise ValueError("check applies to optimal solutions only")
-    verdict = brightness_compare(solution.x, problem.target, tol)
+    verdict = brightness_compare(solution.x, problem.target, NO_BRIGHTER_TOL)
     return verdict in (Comparison.LESS, Comparison.EQUAL)
 
 

@@ -146,17 +146,10 @@ class GroupAction:
         for i, perm in enumerate(listed):
             if bytes(perm) not in generated:
                 gens.append(i)
-                generated = set(map(bytes, _closure(listed[gens], allowed=allowed)))
+                generated = _closure(listed[gens], allowed)
         listed.setflags(write=False)
         object.__setattr__(self, "perms", listed)
         object.__setattr__(self, "_generators", listed[gens])
-
-    @classmethod
-    def from_generators(
-        cls, size: int, generators: Sequence[Sequence[int]] | np.ndarray, cap: int = 100_000
-    ) -> "GroupAction":
-        """Close a generator set under composition (identity added automatically)."""
-        return cls(size, _closure(_permutation_array(size, generators), cap=cap))
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -194,17 +187,16 @@ def _permutation_array(size: int, perms: Sequence[Sequence[int]] | np.ndarray) -
     return array
 
 
-def _closure(gens: np.ndarray, allowed: set[bytes] | None = None, cap: int | None = None) -> np.ndarray:
-    """The group generated by the rows of the (k, size) array ``gens``, as a (G, size) array.
+def _closure(gens: np.ndarray, allowed: set[bytes]) -> set[bytes]:
+    """The group generated by the rows of the (k, size) array ``gens``, as row keys.
 
     Breadth first from the identity: each level composes every generator
     after each element found by the level before.  A composite whose key is
-    not in ``allowed`` raises, and so does a group larger than ``cap``.
+    not in ``allowed`` raises.
     """
     size = gens.shape[1]
     frontier = np.arange(size, dtype=gens.dtype)[None, :]
     seen = {bytes(frontier[0])}
-    levels = [frontier]
     while len(frontier):
         # products[j * F + f] = gens[j] o frontier[f]
         products = gens[:, frontier].reshape(len(gens) * len(frontier), size)
@@ -212,16 +204,13 @@ def _closure(gens: np.ndarray, allowed: set[bytes] | None = None, cap: int | Non
         for r, key in enumerate(map(bytes, products)):
             if key in seen:
                 continue
-            if allowed is not None and key not in allowed:
+            if key not in allowed:
                 p, q = gens[r // len(frontier)].tolist(), frontier[r % len(frontier)].tolist()
                 raise ValueError(f"action is not closed under composition: {tuple(p)} o {tuple(q)}")
             seen.add(key)
             fresh.append(r)
-        if cap is not None and len(seen) > cap:
-            raise ValueError(f"group closure exceeded cap of {cap} elements")
         frontier = products[fresh]
-        levels.append(frontier)
-    return np.concatenate(levels)
+    return seen
 
 
 @dataclass(frozen=True, eq=False)

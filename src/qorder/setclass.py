@@ -177,11 +177,11 @@ def burnside_count(edo: int) -> int:
     return total // edo
 
 
-def enumerate_set_classes(edo: int, cap: int = MAX_EDO) -> list[SetClass]:
+def enumerate_set_classes(edo: int) -> list[SetClass]:
     """All set classes of Z_N, empty class included, sorted by representative."""
     edo = index(edo)  # classes below are built without checks, so with a plain int
-    if not 1 <= edo <= cap:
-        raise ValueError(f"edo {edo} outside supported range 1..{cap}")
+    if not 1 <= edo <= MAX_EDO:
+        raise ValueError(f"edo {edo} outside supported range 1..{MAX_EDO}")
     canon = _kernels.canonical_masks(edo)
     # a mask is the least of its orbit exactly when it is its own minimum
     orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))

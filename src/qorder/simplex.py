@@ -9,27 +9,15 @@ guaranteed.  The design LPs have 2n or 3n variables for n harmonics, so up to
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import LPStatus
 
-
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    ITERATION_LIMIT = "iteration_limit"
-
-
-_STATUS_FROM_CODE = {
-    _kernels.SIMPLEX_OPTIMAL: LPStatus.OPTIMAL,
-    _kernels.SIMPLEX_INFEASIBLE: LPStatus.INFEASIBLE,
-    _kernels.SIMPLEX_UNBOUNDED: LPStatus.UNBOUNDED,
-    _kernels.SIMPLEX_ITERATION_LIMIT: LPStatus.ITERATION_LIMIT,
-}
+# reduced costs and pivot entries within this of zero count as zero
+PIVOT_TOL = 1e-9
 
 
 def _as_matrix(m, n_vars: int) -> np.ndarray:
@@ -106,11 +94,11 @@ def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def iteration_budget(a: np.ndarray) -> int:
-    """Default pivot limit for an equality system with matrix ``a``."""
+    """Pivot limit for an equality system with matrix ``a``."""
     return 200 + 50 * (a.shape[0] + a.shape[1])
 
 
-def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None) -> LPResult:
+def lp_solve(lp: LPStandardForm) -> LPResult:
     """Solve to an optimal basic feasible solution.
 
     Deterministic: Bland's rule fixes the pivot sequence, so repeated solves
@@ -118,11 +106,7 @@ def lp_solve(lp: LPStandardForm, tol: float = 1e-9, max_iter: int | None = None)
     """
     nv = lp.n_vars
     a, b, c = equality_form(lp)
-    if max_iter is None:
-        max_iter = iteration_budget(a)
-
-    code, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
-    status = _STATUS_FROM_CODE[int(code)]
+    status, v = _kernels.simplex_solve(a, b, c, PIVOT_TOL, iteration_budget(a))
     x = np.asarray(v[:nv], dtype=float)
     if status is LPStatus.OPTIMAL:
         cost = float(lp.objective @ x)

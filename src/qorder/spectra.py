@@ -37,11 +37,10 @@ class SpectrumFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RawSpectrum:
-    """Unnormalised nonnegative powers in harmonic order, with provenance."""
+    """Unnormalised nonnegative powers in harmonic order, named."""
 
     name: str
     powers: np.ndarray
-    source_path: str
 
     def __post_init__(self) -> None:
         arr = np.array(self.powers, dtype=float)
@@ -53,8 +52,8 @@ class RawSpectrum:
         object.__setattr__(self, "powers", arr)
 
 
-def load_spectrum(path: str | Path, name: str | None = None) -> RawSpectrum:
-    """Parse a spectrum CSV; errors name the offending line."""
+def load_spectrum(path: str | Path) -> RawSpectrum:
+    """Parse a spectrum CSV, named by its file stem; errors name the offending line."""
     path = Path(path)
     text = path.read_text()
     entries: dict[int, float] = {}
@@ -90,7 +89,7 @@ def load_spectrum(path: str | Path, name: str | None = None) -> RawSpectrum:
     powers = np.zeros(top)
     for index, power in entries.items():
         powers[index - 1] = power
-    return RawSpectrum(name if name is not None else path.stem, powers, str(path))
+    return RawSpectrum(path.stem, powers)
 
 
 def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:
@@ -106,17 +105,6 @@ def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:
             raise ValueError(f"pad_to {pad_to} above the limit of {MAX_HARMONICS} harmonics")
         powers = np.concatenate([powers, np.zeros(pad_to - powers.size)])
     return TimbralVector(powers, raw.name)
-
-
-def vector_to_json(vector: TimbralVector) -> dict:
-    return {"name": vector.name, "power": [float(x) for x in vector.power]}
-
-
-def vector_from_json(data: dict) -> TimbralVector:
-    try:
-        return TimbralVector(np.asarray(data["power"], dtype=float), data.get("name"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed timbral vector JSON: {exc}") from exc
 
 
 def export_dot(cover: FiniteRelation, names: Sequence[str]) -> str:
@@ -142,10 +130,6 @@ def fixture_dir() -> Path:
     return Path(str(resources.files("qorder") / "fixtures"))
 
 
-def load_fixture_collection(pad_to: int | None = None) -> list[TimbralVector]:
+def load_fixture_collection() -> list[TimbralVector]:
     """The six bundled synthetic spectra, normalised, sorted by name."""
-    out = []
-    for name in FIXTURE_NAMES:
-        raw = load_spectrum(fixture_dir() / f"{name}.csv", name)
-        out.append(normalize(raw, pad_to))
-    return out
+    return [normalize(load_spectrum(fixture_dir() / f"{name}.csv")) for name in FIXTURE_NAMES]

@@ -61,10 +61,15 @@ def suffix_rows(n: int, n_vars: int) -> np.ndarray:
 
 def loop_a_ub(n: int, variant: Variant) -> np.ndarray:
     """The inequality matrix of ``design.to_lp``, entry by entry."""
-    bi = variant is Variant.BI_OBJECTIVE
+    bi = variant is not Variant.CLOSEST_TO_TARGET
     n_vars = 3 * n if bi else 2 * n
     blocks = [abs_split_rows(n, n_vars, 0, n)]
     if bi:
         blocks.append(abs_split_rows(n, n_vars, 0, 2 * n))
     blocks.append(suffix_rows(n, n_vars))
+    if variant is Variant.CLOSEST_TO_BOUND:
+        budget = np.zeros((1, n_vars))
+        for i in range(n):
+            budget[0, n + i] = 1.0
+        blocks.append(budget)
     return np.vstack(blocks)

@@ -8,6 +8,7 @@ kernel's row operations must reproduce it bit for bit.
 import numpy as np
 
 from qorder import _kernels
+from qorder._kernels import LPStatus
 
 
 def loop_simplex_solve(a, b, c, tol, max_iter):
@@ -16,7 +17,7 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
     Slack/surplus columns must already be part of ``a``; one artificial
     variable per row is appended here and driven out by the first phase.
     Bland's rule (lowest eligible entering column; ratio ties broken by the
-    lowest basis variable) guarantees termination.  Returns (status, v).
+    lowest basis variable) guarantees termination.  Returns (LPStatus, v).
     """
     m, n = a.shape
     width = n + m + 1
@@ -36,7 +37,7 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
     for phase in range(2):
         if phase == 1:
             if -t[m, width - 1] > _kernels._FEAS_TOL:
-                return _kernels.SIMPLEX_INFEASIBLE, np.zeros(n)
+                return LPStatus.INFEASIBLE, np.zeros(n)
             # drive leftover artificials out of the basis; zero redundant rows
             for r in range(m):
                 if basis[r] >= n:
@@ -70,7 +71,7 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
 
         while True:
             if iters >= max_iter:
-                return _kernels.SIMPLEX_ITERATION_LIMIT, np.zeros(n)
+                return LPStatus.ITERATION_LIMIT, np.zeros(n)
             enter = -1
             for j in range(n):  # artificial columns never re-enter
                 if t[m, j] < -tol:
@@ -92,7 +93,7 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
                         best_ratio = ratio
                         best_var = basis[i]
             if leave < 0:
-                return _kernels.SIMPLEX_UNBOUNDED, np.zeros(n)
+                return LPStatus.UNBOUNDED, np.zeros(n)
             piv = t[leave, enter]
             t[leave, :] /= piv
             for i in range(m + 1):
@@ -111,4 +112,4 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
     for r in range(m):
         if basis[r] < n:
             v[basis[r]] = t[r, width - 1]
-    return _kernels.SIMPLEX_OPTIMAL, v
+    return LPStatus.OPTIMAL, v

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from qorder.orders import FiniteRelation, GroupAction, _two_step
+from qorder.orders import FiniteRelation, GroupAction, _permutation_array, _two_step
 from qorder.setclass import SetClass
 
 
@@ -37,6 +37,25 @@ def action_to_json(action: GroupAction) -> dict:
     return {"size": action.size, "perms": action.perms.tolist()}
 
 
+def group_from_generators(size: int, generators) -> GroupAction:
+    """The group generated by ``generators``, identity included: closed breadth
+    first, one composite at a time, then built by the checking constructor."""
+    gens = [tuple(g) for g in _permutation_array(size, generators).tolist()]
+    identity = tuple(range(size))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for g in gens:
+            for f in frontier:
+                composite = tuple(g[i] for i in f)
+                if composite not in seen:
+                    seen.add(composite)
+                    fresh.append(composite)
+        frontier = fresh
+    return GroupAction(size, sorted(seen))
+
+
 def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
     """Inclusion order on all subsets of Z_n, with the rotation action.
 
@@ -47,7 +66,7 @@ def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
     masks = np.arange(size)
     table = (masks[:, None] & masks[None, :]) == masks[:, None]
     rotate = tuple(((m << 1) | (m >> (n - 1))) & full for m in range(size))
-    action = GroupAction.from_generators(size, [rotate])
+    action = group_from_generators(size, [rotate])
     return FiniteRelation(size, table), action
 
 
@@ -86,8 +105,8 @@ def random_group_action(rng: np.random.Generator, size: int) -> GroupAction:
         perm = list(range(size))
         i, j = rng.choice(size, size=2, replace=False)
         perm[i], perm[j] = perm[j], perm[i]
-        return GroupAction.from_generators(size, [tuple(perm)])
-    return GroupAction.from_generators(size, [tuple(int(x) for x in rng.permutation(size))])
+        return group_from_generators(size, [tuple(perm)])
+    return group_from_generators(size, [tuple(int(x) for x in rng.permutation(size))])
 
 
 def reference_group_perms(size: int, perms) -> tuple[tuple[int, ...], ...]:

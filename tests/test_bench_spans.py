@@ -31,7 +31,7 @@ def workload_ops(tmp_path):
               "--bound", str(DATA / "bound3.csv"), "--variant"]
     return {
         "setclass-minimal": [["setclass", "minimal", "--edo", "12", "--max-second", "3"]],
-        "design": [design + ["l1min"], design + ["closest-to-bound"]],
+        "design": [design + ["l1min"], design + ["l1min2"], design + ["closest-to-bound"]],
         "counterexample": [["timbre", "counterexample", "--n", "4", "--seed", "0"]],
         "hasse": [["timbre", "hasse", str(fixture_dir()), "--dot", str(tmp_path / "h.dot")]],
     }

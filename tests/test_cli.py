@@ -41,6 +41,10 @@ GOLDEN_CASES = {
     "timbre_design.json": ["timbre", "design", "--target", str(DATA / "target3.csv"),
                            "--bound", str(DATA / "bound3.csv"),
                            "--variant", "closest-to-bound"],
+    # n = 4, where other points than the returned vertex are also optimal
+    "timbre_design_n4.json": ["timbre", "design", "--target", str(DATA / "target4.csv"),
+                              "--bound", str(DATA / "bound4.csv"),
+                              "--variant", "closest-to-bound"],
     "timbre_counterexample.json": ["timbre", "counterexample", "--n", "3", "--trials", "50",
                                    "--seed", "1", "--format", "json"],
     "order_check.json": ["order", "check",

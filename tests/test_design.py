@@ -84,6 +84,25 @@ class TestToLp:
                 assert lp.a_ub.tobytes() == expected.tobytes(), (n, variant)
                 assert not np.signbit(lp.a_ub[lp.a_ub == 0]).any()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+    def test_closest_to_bound_matches_hand_assembly(self, n):
+        # the stage-two LP as it was assembled beside to_lp: the bi-objective
+        # LP, a budget row on u, and costs on w only
+        rng = np.random.default_rng(300 + n)
+        prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
+        bi = to_lp(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE))
+        budget = np.zeros((1, 3 * n))
+        budget[0, n : 2 * n] = 1.0
+        c = np.zeros(3 * n)
+        c[2 * n :] = 1.0
+        optimum = closest_to_target_optimum(prob.target, prob.bound)
+        expected = (c, np.vstack([bi.a_ub, budget]),
+                    np.concatenate([bi.b_ub, [optimum + design.STAGE_TWO_SLACK]]), bi.a_eq, bi.b_eq)
+        lp = to_lp(prob)
+        for got, want in zip((lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq), expected):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
     def test_target_equal_bound_is_free(self):
         prob = problem([0.3, 0.3, 0.4], [0.3, 0.3, 0.4])
         sol = solve_design(prob)
@@ -171,27 +190,37 @@ class TestSolveDesign:
 
 class TestSolveClosestToBound:
     def test_returns_target_when_feasible(self):
-        prob = problem([0.6, 0.2, 0.2], [0.2, 0.2, 0.6])
+        prob = problem([0.6, 0.2, 0.2], [0.2, 0.2, 0.6], Variant.CLOSEST_TO_BOUND)
         sol = solve_closest_to_bound(prob)
         assert np.allclose(sol.x.power, prob.target.power, atol=1e-8)
 
     def test_three_harmonic_instance_hits_infimum(self):
-        prob = problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2])
+        prob = problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2], Variant.CLOSEST_TO_BOUND)
         sol = solve_closest_to_bound(prob)
         assert np.allclose(sol.x.power, [0.6, 0.2, 0.2], atol=1e-8)
 
     def test_matches_infimum_for_three_harmonics(self):
         rng = np.random.default_rng(103)
         for _ in range(60):
-            prob = random_problem(rng, 3)
+            prob = random_problem(rng, 3, Variant.CLOSEST_TO_BOUND)
             sol = solve_closest_to_bound(prob)
             z = infimum(prob.bound, prob.target)
             assert sol.status is DesignStatus.OPTIMAL
             assert np.allclose(sol.x.power, z.power, atol=1e-6)
 
     def test_variant_guard(self):
-        with pytest.raises(ValueError, match="closest-to-target"):
-            solve_closest_to_bound(problem([1.0], [1.0], Variant.BI_OBJECTIVE))
+        for variant in (Variant.CLOSEST_TO_TARGET, Variant.BI_OBJECTIVE):
+            with pytest.raises(ValueError, match="closest-to-bound variant"):
+                solve_closest_to_bound(problem([1.0], [1.0], variant))
+
+    def test_solve_design_answers_closest_to_bound(self):
+        rng = np.random.default_rng(110)
+        for n in (3, 4, 8):
+            prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
+            via_design, direct = solve_design(prob), solve_closest_to_bound(prob)
+            assert via_design.status is direct.status is DesignStatus.OPTIMAL
+            assert via_design.objective == direct.objective
+            assert via_design.x.power.tobytes() == direct.x.power.tobytes()
 
 
 class TestClosedForms:
@@ -219,7 +248,7 @@ class TestClosedForms:
             assert abs(solve_design(prob).objective - optimum) <= 1e-9
             bi = solve_design(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE))
             assert abs(bi.objective - direct) <= 1e-9
-            x = solve_closest_to_bound(prob).x.power
+            x = solve_closest_to_bound(DesignProblem(prob.target, prob.bound, Variant.CLOSEST_TO_BOUND)).x.power
             assert float(np.abs(x - prob.bound.power).sum()) <= direct - optimum + 1e-8
 
 
@@ -254,7 +283,7 @@ class TestCertificate:
     @pytest.mark.parametrize("solve", [
         lambda prob: solve_design(prob),
         lambda prob: solve_design(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE)),
-        solve_closest_to_bound,
+        lambda prob: solve_closest_to_bound(DesignProblem(prob.target, prob.bound, Variant.CLOSEST_TO_BOUND)),
     ], ids=["l1min", "l1min2", "closest-to-bound"])
     def test_wrong_objective_is_numerical_failure(self, skewed_lp, solve):
         for prob in (problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2]),
@@ -267,7 +296,7 @@ class TestCertificate:
     def test_closest_to_bound_solves_one_lp(self, lp_calls):
         rng = np.random.default_rng(108)
         for n in (2, 3, 4, 16):
-            prob = random_problem(rng, n)
+            prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
             lp_calls.clear()
             assert solve_closest_to_bound(prob).status is DesignStatus.OPTIMAL
             assert len(lp_calls) == 1
@@ -282,7 +311,7 @@ class TestCertificate:
                 prob = random_problem(rng, n)
                 optimum = closest_to_target_optimum(prob.target, prob.bound)
                 assert abs(solve_design(prob).objective - optimum) <= design.CERTIFICATE_TOL
-                sol = solve_closest_to_bound(prob)
+                sol = solve_closest_to_bound(DesignProblem(prob.target, prob.bound, Variant.CLOSEST_TO_BOUND))
                 assert sol.status is DesignStatus.OPTIMAL
                 assert abs(sol.objective - optimum) <= 1e-8
 

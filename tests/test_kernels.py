@@ -13,7 +13,7 @@ import pytest
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
 from qorder.setclass import PitchClassSet, SetClass, span_limited_classes
-from qorder.simplex import LPStandardForm, equality_form, iteration_budget
+from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget
 from qorder.timbre import TimbralVector
 
 from reference_simplex import loop_simplex_solve
@@ -26,16 +26,16 @@ DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}
 def assert_same_solve(a, b, c, tol=1e-9, max_iter=None):
     if max_iter is None:
         max_iter = iteration_budget(a)
-    code, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
-    ref_code, ref_v = loop_simplex_solve(a, b, c, tol, max_iter)
-    assert int(code) == int(ref_code)
+    status, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
+    ref_status, ref_v = loop_simplex_solve(a, b, c, tol, max_iter)
+    assert status is ref_status
     assert v.tobytes() == ref_v.tobytes()
-    return int(code)
+    return status
 
 
 def recorded_design_lps(monkeypatch, n, count, seed):
-    """Every LP the design solvers build for ``count`` random instances:
-    l1min and l1min2 through ``to_lp``, plus the closest-to-bound stage two."""
+    """Every LP the design solvers build for ``count`` random instances, one
+    per ``Variant``, each through ``to_lp``."""
     lps = []
     solve = design.lp_solve
 
@@ -49,7 +49,7 @@ def recorded_design_lps(monkeypatch, n, count, seed):
         target = TimbralVector(random_simplex(rng, n))
         bound = TimbralVector(random_simplex(rng, n))
         design.solve_design(DesignProblem(target, bound))
-        design.solve_closest_to_bound(DesignProblem(target, bound))
+        design.solve_closest_to_bound(DesignProblem(target, bound, Variant.CLOSEST_TO_BOUND))
         design.solve_design(DesignProblem(target, bound, Variant.BI_OBJECTIVE))
     monkeypatch.undo()
     return lps
@@ -64,7 +64,7 @@ class TestSimplexMatchesLoopOracle:
         assert widths == {2 * n, 3 * n}
         for lp in lps:
             a, b, c = equality_form(lp)
-            assert assert_same_solve(a, b, c) == _kernels.SIMPLEX_OPTIMAL
+            assert assert_same_solve(a, b, c) is LPStatus.OPTIMAL
 
     def test_random_general_lps(self):
         # small integer data makes degenerate vertices and exact ratio ties
@@ -84,9 +84,9 @@ class TestSimplexMatchesLoopOracle:
             a, b, c = equality_form(lp)
             seen.add(assert_same_solve(a, b, c))
         assert seen == {
-            _kernels.SIMPLEX_OPTIMAL,
-            _kernels.SIMPLEX_INFEASIBLE,
-            _kernels.SIMPLEX_UNBOUNDED,
+            LPStatus.OPTIMAL,
+            LPStatus.INFEASIBLE,
+            LPStatus.UNBOUNDED,
         }
 
     def test_iteration_limit(self):
@@ -95,8 +95,8 @@ class TestSimplexMatchesLoopOracle:
         bound = TimbralVector(random_simplex(rng, 8))
         a, b, c = equality_form(design.to_lp(DesignProblem(target, bound)))
         for max_iter in range(4):
-            code = assert_same_solve(a, b, c, max_iter=max_iter)
-            assert code == _kernels.SIMPLEX_ITERATION_LIMIT
+            status = assert_same_solve(a, b, c, max_iter=max_iter)
+            assert status is LPStatus.ITERATION_LIMIT
 
 
 def rotation_minimum(mask, n):

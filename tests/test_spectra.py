@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,6 @@ from qorder.spectra import (
     load_fixture_collection,
     load_spectrum,
     normalize,
-    vector_from_json,
-    vector_to_json,
 )
 from qorder.timbre import brightness_compare
 
@@ -63,40 +59,36 @@ class TestLoadSpectrum:
             with pytest.raises(SpectrumFormatError, match=r"spec\.csv:2: harmonic index"):
                 load_spectrum(write(tmp_path, f"1,1.0\n{index},1\n"))
 
-    def test_explicit_name(self, tmp_path):
-        raw = load_spectrum(write(tmp_path, "1,1.0\n"), name="custom")
-        assert raw.name == "custom"
-
 
 class TestNormalize:
     def test_basic(self):
-        raw = RawSpectrum("x", np.array([4.0, 2.0, 2.0]), "mem")
+        raw = RawSpectrum("x", np.array([4.0, 2.0, 2.0]))
         assert np.allclose(normalize(raw).power, [0.5, 0.25, 0.25])
 
     def test_padding(self):
-        raw = RawSpectrum("x", np.array([1.0, 1.0]), "mem")
+        raw = RawSpectrum("x", np.array([1.0, 1.0]))
         assert np.allclose(normalize(raw, pad_to=4).power, [0.5, 0.5, 0.0, 0.0])
 
     def test_pad_below_length_rejected(self):
-        raw = RawSpectrum("x", np.array([1.0, 1.0, 1.0]), "mem")
+        raw = RawSpectrum("x", np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="pad_to"):
             normalize(raw, pad_to=2)
 
     def test_pad_above_cap_rejected(self):
-        raw = RawSpectrum("x", np.array([1.0, 1.0]), "mem")
+        raw = RawSpectrum("x", np.array([1.0, 1.0]))
         assert normalize(raw, pad_to=MAX_HARMONICS).n == MAX_HARMONICS
         with pytest.raises(ValueError, match="pad_to"):
             normalize(raw, pad_to=MAX_HARMONICS + 1)
 
     def test_all_zero_rejected(self):
-        raw = RawSpectrum("x", np.array([0.0, 0.0]), "mem")
+        raw = RawSpectrum("x", np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="zero total power"):
             normalize(raw)
 
     def test_idempotent(self):
-        raw = RawSpectrum("x", np.array([0.5, 0.25, 0.25]), "mem")
+        raw = RawSpectrum("x", np.array([0.5, 0.25, 0.25]))
         once = normalize(raw)
-        again = normalize(RawSpectrum("x", once.power, "mem"))
+        again = normalize(RawSpectrum("x", once.power))
         assert np.allclose(once.power, again.power, atol=1e-12)
 
     def test_scale_invariant(self):
@@ -105,24 +97,10 @@ class TestNormalize:
             powers = rng.uniform(0.0, 5.0, size=8)
             powers[int(rng.integers(0, 8))] += 1.0
             scale = rng.uniform(0.01, 100.0)
-            a = normalize(RawSpectrum("x", powers, "mem"))
-            b = normalize(RawSpectrum("x", scale * powers, "mem"))
+            a = normalize(RawSpectrum("x", powers))
+            b = normalize(RawSpectrum("x", scale * powers))
             assert np.allclose(a.power, b.power, atol=1e-12)
             assert brightness_compare(a, b) is Comparison.EQUAL
-
-
-class TestJsonRoundTrip:
-    def test_round_trip(self, tmp_path):
-        path = write(tmp_path, "1,4.0\n2,2.0\n3,2.0\n")
-        vector = normalize(load_spectrum(path))
-        blob = json.dumps(vector_to_json(vector))
-        again = vector_from_json(json.loads(blob))
-        assert again.name == vector.name
-        assert np.allclose(again.power, vector.power, atol=1e-12)
-
-    def test_malformed(self):
-        with pytest.raises(ValueError, match="malformed"):
-            vector_from_json({"name": "x"})
 
 
 class TestExportDot:
