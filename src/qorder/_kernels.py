@@ -21,6 +21,9 @@ class LPStatus(enum.Enum):
 
 
 _FEAS_TOL = 1e-7
+# largest row block one pivot updates at once; the update's two temporaries
+# are each this size at most
+_PIVOT_BLOCK_BYTES = 1 << 20
 
 # rows of the subset relation filled per block; 64 beat 256 and 1024 at
 # K = 3244 to 10724
@@ -79,25 +82,31 @@ def subset_leq_matrix(masks, n):
 # ---------------------------------------------------------------------------
 
 
-def _pivot(t, r, col):
+def _pivot(t, r, col, block_rows):
     """Make column ``col`` the unit vector with its 1 in row ``r``.
 
-    Only rows with a nonzero entry in ``col`` are updated; the unit column is
-    written exactly so that basic reduced costs stay 0.
+    Only rows with a nonzero entry in ``col`` are updated, ``block_rows`` at a
+    time so that the update's temporaries stay small beside the tableau; the
+    unit column is written exactly so that basic reduced costs stay 0.
     """
     f = t[:, col].copy()
     row = t[r] / f[r]
     t[r] = row
     f[r] = 0.0
     rows = f.nonzero()[0]
+    while len(rows) > block_rows:
+        block, rows = rows[:block_rows], rows[block_rows:]
+        t[block] -= f[block, None] * row
     t[rows] -= f[rows, None] * row
     t[:, col] = 0.0
     t[r, col] = 1.0
 
 
-def simplex_solve(a, b, c, tol, max_iter):
-    """Minimise c.v subject to a.v = b (b >= 0), v >= 0.
+def simplex_solve(t, c, tol, max_iter):
+    """Minimise c.v subject to a.v = b (b >= 0), v >= 0, in place.
 
+    ``t`` is the (m + 1) x (n + 1) tableau: a in ``t[:m, :n]``, b in
+    ``t[:m, n]`` and a zero last row; the solve overwrites it.
     Slack/surplus columns must already be part of ``a``; one artificial
     variable per row (basis index n + i for row i) starts basic and is driven
     out by the first phase.  Artificial columns never enter and no pivot
@@ -105,10 +114,8 @@ def simplex_solve(a, b, c, tol, max_iter):
     (lowest eligible entering column; ratio ties broken by the lowest basis
     variable) guarantees termination.  Returns (LPStatus, v).
     """
-    m, n = a.shape
-    t = np.zeros((m + 1, n + 1))
-    t[:m, :n] = a
-    t[:m, n] = b
+    m, n = t.shape[0] - 1, t.shape[1] - 1
+    block_rows = max(1, _PIVOT_BLOCK_BYTES // t[0].nbytes)
     basis = np.arange(n, n + m)
     # phase-1 objective (sum of artificials) in reduced form, subtracted one
     # row at a time in row order
@@ -127,7 +134,7 @@ def simplex_solve(a, b, c, tol, max_iter):
             for r in (basis >= n).nonzero()[0]:
                 found = (np.abs(t[r, :n]) > tol).nonzero()[0]
                 if len(found):
-                    _pivot(t, r, found[0])
+                    _pivot(t, r, found[0], block_rows)
                     basis[r] = found[0]
                 else:
                     t[r] = 0.0
@@ -153,7 +160,7 @@ def simplex_solve(a, b, c, tol, max_iter):
             ratios = rhs[rows] / col[rows]
             ties = rows[ratios == ratios.min()]
             leave = ties[basis[ties].argmin()]
-            _pivot(t, leave, enter)
+            _pivot(t, leave, enter, block_rows)
             basis[leave] = enter
             iters += 1
 

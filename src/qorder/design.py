@@ -21,6 +21,8 @@ from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
 from .spectra import MAX_HARMONICS
 from .timbre import (
     TimbralVector,
+    _check_power,
+    _infimum_power,
     brightness_compare,
     brightness_matrix,
     infimum,
@@ -162,7 +164,12 @@ def closest_to_target_optimum(target: TimbralVector, bound: TimbralVector) -> fl
     """
     if target.n != bound.n:
         raise ValueError(f"target has {target.n} harmonics, bound has {bound.n}")
-    excess = float(np.max(suffix_profile(target) - suffix_profile(bound)))
+    return _closest_to_target_optimum(suffix_profile(target), suffix_profile(bound))
+
+
+def _closest_to_target_optimum(target_profile: np.ndarray, bound_profile: np.ndarray) -> float:
+    """2D from the suffix profiles of target and bound."""
+    excess = float((target_profile - bound_profile).max())
     return 2.0 * max(excess, 0.0)
 
 
@@ -234,11 +241,15 @@ def counterexample_search(
     instance where the dominance infimum of bound and target is farther from
     the target than the LP optimum by more than ``gap_tol``.
 
-    Each trial is decided against the closed-form optimum; a hit is certified
-    by one ``solve_design``, whose objective is reported and which checks
-    itself against the same closed form; a status other than OPTIMAL raises
-    RuntimeError.  Stops at the first hit; reports not-found when the budget
-    runs out, which is inconclusive rather than a refutation.
+    Each trial draws target and bound as the two rows of one Dirichlet draw,
+    checks both as :class:`TimbralVector` would, and is decided from their
+    suffix profiles by the formulas behind :func:`timbre.infimum` and
+    :func:`closest_to_target_optimum`, with no vector built.  A hit builds the
+    vectors and the infimum, and is certified by one ``solve_design``, whose
+    objective is reported and which checks itself against the same closed
+    form; a status other than OPTIMAL raises RuntimeError.  Stops at the first
+    hit; reports not-found when the budget runs out, which is inconclusive
+    rather than a refutation.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -248,15 +259,22 @@ def counterexample_search(
         raise ValueError(f"gap_tol must be finite, got {gap_tol}")
     if gap_tol < 0:
         raise ValueError(f"gap_tol must be nonnegative, got {gap_tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
+    alpha = np.ones(n)
     for trial in range(trials):
-        tp = TimbralVector(rng.dirichlet(np.ones(n)))
-        tb = TimbralVector(rng.dirichlet(np.ones(n)))
-        z = infimum(tb, tp)
-        objective_z = float(np.abs(z.power - tp.power).sum())
-        optimum = closest_to_target_optimum(tp, tb)
+        # the rows are the draws of two successive rng.dirichlet(alpha) calls
+        draws = rng.dirichlet(alpha, size=2)
+        _check_power(draws)
+        p, b = draws
+        profile_p, profile_b = draws[:, ::-1].cumsum(axis=1)
+        objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
+        optimum = _closest_to_target_optimum(profile_p, profile_b)
         if objective_z - optimum <= gap_tol:
             continue
+        tp, tb = TimbralVector(p), TimbralVector(b)
+        z = infimum(tb, tp)
         solution = solve_design(DesignProblem(tp, tb))
         if solution.status is not DesignStatus.OPTIMAL:
             raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value} "

@@ -72,30 +72,36 @@ class LPResult:
     status: LPStatus
 
 
-def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's system (a, b, c): minimise c.v s.t. a v = b, v >= 0, b >= 0.
+def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's tableau t and costs c.
 
-    One slack column per inequality row follows the original variables;
-    rows with a negative right-hand side are negated.
+    The system is minimise c.v s.t. a v = b, v >= 0, b >= 0, with
+    a = t[:-1, :-1] and b = t[:-1, -1]; the last row, which the kernel fills
+    with its objective, is zero.  One slack column per inequality row follows
+    the original variables; rows with a negative right-hand side are negated.
+    The system is written straight into the tableau, in place, so no second
+    copy of it is ever held.
     """
     nv = lp.n_vars
     mu = lp.a_ub.shape[0]
     me = lp.a_eq.shape[0]
-    a = np.zeros((mu + me, nv + mu))
-    a[:mu, :nv] = lp.a_ub
-    a[:mu, nv:] = np.eye(mu)
-    a[mu:, :nv] = lp.a_eq
-    b = np.concatenate([lp.b_ub, lp.b_eq])
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.abs(b)
+    t = np.zeros((mu + me + 1, nv + mu + 1))
+    t[:mu, :nv] = lp.a_ub
+    slack = np.arange(mu)
+    t[slack, nv + slack] = 1.0
+    t[mu:-1, :nv] = lp.a_eq
+    b = t[:-1, -1]
+    b[:mu] = lp.b_ub
+    b[mu:] = lp.b_eq
+    t[:-1] *= np.where(b < 0, -1.0, 1.0)[:, None]
+    np.abs(b, out=b)
     c = np.concatenate([lp.objective, np.zeros(mu)])
-    return a, b, c
+    return t, c
 
 
-def iteration_budget(a: np.ndarray) -> int:
-    """Pivot limit for an equality system with matrix ``a``."""
-    return 200 + 50 * (a.shape[0] + a.shape[1])
+def iteration_budget(t: np.ndarray) -> int:
+    """Pivot limit for the tableau ``t`` of an equality system."""
+    return 200 + 50 * (t.shape[0] + t.shape[1] - 2)
 
 
 def lp_solve(lp: LPStandardForm) -> LPResult:
@@ -105,8 +111,8 @@ def lp_solve(lp: LPStandardForm) -> LPResult:
     of the same instance return the same vertex.
     """
     nv = lp.n_vars
-    a, b, c = equality_form(lp)
-    status, v = _kernels.simplex_solve(a, b, c, PIVOT_TOL, iteration_budget(a))
+    t, c = equality_form(lp)
+    status, v = _kernels.simplex_solve(t, c, PIVOT_TOL, iteration_budget(t))
     x = np.asarray(v[:nv], dtype=float)
     if status is LPStatus.OPTIMAL:
         cost = float(lp.objective @ x)

@@ -26,6 +26,19 @@ from .orders import (
 SUM_TOL = 1e-9
 
 
+def _check_power(arr: np.ndarray) -> None:
+    """Refuse ``arr`` unless each row along its last axis is a timbre, and
+    clip tiny negative components to zero in place."""
+    if bool((arr < -SUM_TOL).any()):
+        raise ValueError(f"negative power component in {arr}")
+    arr[arr < 0.0] = 0.0
+    # written so that a NaN or infinite component, whose sum is NaN or
+    # infinite, fails it too
+    sums = arr.sum(axis=-1)
+    if not bool((np.abs(sums - 1.0) <= SUM_TOL).all()):
+        raise ValueError(f"power sums to {sums}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class TimbralVector:
     """Nonnegative power proportions over ``n`` harmonics, summing to one."""
@@ -37,13 +50,7 @@ class TimbralVector:
         arr = np.array(self.power, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("power must be a nonempty 1-d vector")
-        if bool((arr < -SUM_TOL).any()):
-            raise ValueError(f"negative power component in {arr}")
-        arr[arr < 0.0] = 0.0
-        # written so that a NaN or infinite component, whose sum is NaN or
-        # infinite, fails it too
-        if not abs(float(arr.sum()) - 1.0) <= SUM_TOL:
-            raise ValueError(f"power sums to {arr.sum()}, expected 1")
+        _check_power(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "power", arr)
 
@@ -108,9 +115,15 @@ def infimum(x: TimbralVector, y: TimbralVector) -> TimbralVector:
     again such a profile, so the inverse suffix sums form a valid timbre.
     """
     _check_same_n(x, y)
-    low = np.minimum(suffix_profile(x), suffix_profile(y))
-    power = np.diff(np.concatenate(([0.0], low)))[::-1].copy()
-    return TimbralVector(power)
+    return TimbralVector(_infimum_power(suffix_profile(x), suffix_profile(y)))
+
+
+def _infimum_power(profile_x: np.ndarray, profile_y: np.ndarray) -> np.ndarray:
+    """Power of the infimum of two timbres, from their suffix profiles, as a
+    reversed view."""
+    low = np.zeros(profile_x.size + 1)
+    np.minimum(profile_x, profile_y, out=low[1:])
+    return (low[1:] - low[:-1])[::-1]
 
 
 def tv_distance(x: TimbralVector, y: TimbralVector) -> float:

@@ -11,6 +11,27 @@ from qorder import _kernels
 from qorder._kernels import LPStatus
 
 
+def loop_equality_form(lp):
+    """(a, b, c) of ``qorder.simplex.equality_form``, one entry at a time: the
+    inequality rows with one slack column each, then the equality rows, each
+    row negated when its right-hand side is negative."""
+    nv, mu, me = lp.n_vars, lp.a_ub.shape[0], lp.a_eq.shape[0]
+    a = np.zeros((mu + me, nv + mu))
+    b = np.zeros(mu + me)
+    for i in range(mu + me):
+        rhs = lp.b_ub[i] if i < mu else lp.b_eq[i - mu]
+        sign = -1.0 if rhs < 0 else 1.0
+        for j in range(nv):
+            a[i, j] = sign * (lp.a_ub[i, j] if i < mu else lp.a_eq[i - mu, j])
+        for j in range(mu):
+            a[i, nv + j] = sign * (1.0 if j == i else 0.0)
+        b[i] = abs(rhs)
+    c = np.zeros(nv + mu)
+    for j in range(nv):
+        c[j] = lp.objective[j]
+    return a, b, c
+
+
 def loop_simplex_solve(a, b, c, tol, max_iter):
     """Minimise c.v subject to a.v = b (b >= 0), v >= 0.
 

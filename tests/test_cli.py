@@ -228,6 +228,13 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert "error: n must be at least 2 and at most 1024" in result.output
 
+    @pytest.mark.parametrize("args, env", [(["--seed", "-1"], {}), ([], {"QO_SEED": "-1"})],
+                             ids=["option", "env"])
+    def test_counterexample_negative_seed_exit_one(self, runner, args, env):
+        result = runner.invoke(main, ["timbre", "counterexample", "--trials", "5", *args], env=env)
+        assert result.exit_code == 1
+        assert result.output == "error: seed must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize("command, option", [
         ("compare", "--tol"), ("hasse", "--tol"), ("counterexample", "--gap-tol"),
         ("submajorize", "--tol"),

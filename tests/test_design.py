@@ -28,6 +28,7 @@ from qorder.timbre import (
     tv_distance,
 )
 
+import counterexample_hits
 from reference_design import grid_solve, loop_a_ub
 from structures import random_simplex
 
@@ -416,10 +417,14 @@ class TestCounterexampleSearch:
             counterexample_search(1, 10, seed=1)
 
     def test_bounds_checked_before_allocating(self, monkeypatch):
-        def no_trial(*args):
-            raise AssertionError("trial run for a rejected search")
+        # every trial starts with the generator's Dirichlet draw
+        class NoTrial:
+            def dirichlet(self, *args, **kwargs):
+                raise AssertionError("trial run for a rejected search")
 
-        monkeypatch.setattr(design, "infimum", no_trial)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoTrial())
+        with pytest.raises(AssertionError, match="trial run"):
+            counterexample_search(3, 10, seed=1)
         with pytest.raises(ValueError, match=f"at most {MAX_HARMONICS}, got {MAX_HARMONICS + 1}"):
             counterexample_search(MAX_HARMONICS + 1, 10, seed=1)
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -427,20 +432,47 @@ class TestCounterexampleSearch:
                 counterexample_search(3, 10, seed=1, gap_tol=bad)
         with pytest.raises(ValueError, match="gap_tol must be nonnegative, got -1.0"):
             counterexample_search(3, 10, seed=1, gap_tol=-1.0)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1$"):
+            counterexample_search(3, 10, seed=-1)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, 0.5 + 1e-6], "power sums to"),
+        ([1.0 + 1e-6, -1e-6], "negative power component"),
+    ])
+    def test_every_draw_checked(self, monkeypatch, bad, message):
+        # valid pairs for three trials, then a bound that is not a timbre
+        class Draws:
+            def __init__(self):
+                self.pairs = [[[0.5, 0.5], [0.5, 0.5]]] * 3 + [[[0.5, 0.5], bad]]
+
+            def dirichlet(self, alpha, size):
+                return np.array(self.pairs.pop(0))
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        with pytest.raises(ValueError, match=message):
+            counterexample_search(2, 10, seed=0, gap_tol=0.0)
 
     def test_one_lp_per_hit(self, monkeypatch):
-        solves = []
-        solve = design.lp_solve
+        calls = {"lp_solve": [], "infimum": [], "TimbralVector": []}
+        for name, log in calls.items():
+            def record(*args, log=log, func=getattr(design, name)):
+                log.append(args)
+                return func(*args)
 
-        def record(lp, *args, **kwargs):
-            solves.append(lp)
-            return solve(lp, *args, **kwargs)
-
-        monkeypatch.setattr(design, "lp_solve", record)
+            monkeypatch.setattr(design, name, record)
         assert not counterexample_search(3, 200, seed=0).found
-        assert solves == []
-        assert counterexample_search(4, 10_000, seed=0).trial_index == 18
-        assert len(solves) == 1
+        assert calls == {"lp_solve": [], "infimum": [], "TimbralVector": []}
+        report = counterexample_search(4, 10_000, seed=0)
+        assert report.trial_index == 18
+        assert len(calls["lp_solve"]) == 1
+        [(bound, target)] = calls["infimum"]
+        assert target.power.tobytes() == report.target.tobytes()
+        assert bound.power.tobytes() == report.bound.tobytes()
+        # the hit's target and bound, then the certified LP point
+        made = [args[0] for args in calls["TimbralVector"]]
+        assert len(made) == 3
+        assert made[0].tobytes() == report.target.tobytes()
+        assert made[1].tobytes() == report.bound.tobytes()
 
     # a wrong LP objective fails solve_design's own certificate, and so the hit
     @pytest.mark.parametrize("name, certificate, objective", [
@@ -465,5 +497,15 @@ class TestCounterexampleSearch:
     def test_first_hits(self, n, seed, trial, gap, lp_objective):
         report = counterexample_search(n, 10_000, seed)
         assert report.trial_index == trial
-        assert report.gap == pytest.approx(gap, abs=1e-12)
-        assert report.lp_objective == pytest.approx(lp_objective, abs=1e-12)
+        assert report.gap == gap
+        assert report.lp_objective == lp_objective
+
+    # every first hit of a grid of searches, bit for bit; hits at n = 2 and 3
+    # are rounding noise against gap_tol = 0
+    @pytest.mark.parametrize("n", counterexample_hits.SIZES)
+    def test_recorded_first_hits(self, n):
+        recorded = json.loads(counterexample_hits.PATH.read_text())
+        cases = [case for case in counterexample_hits.cases() if case[0] == n]
+        assert [record for record in recorded if record["n"] == n] == [
+            counterexample_hits.record(*case) for case in cases
+        ]

@@ -13,20 +13,29 @@ import pytest
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
 from qorder.setclass import PitchClassSet, SetClass, span_limited_classes
-from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget
+from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget, lp_solve
 from qorder.timbre import TimbralVector
 
-from reference_simplex import loop_simplex_solve
+from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex
 
 # design instances per harmonic count; each yields three LPs, 1242 in all
 DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}
 
 
-def assert_same_solve(a, b, c, tol=1e-9, max_iter=None):
+def assert_same_solve(lp, tol=1e-9, max_iter=None):
+    """Solve ``lp``'s tableau with the kernel and its system with the loop
+    oracle; the system is first checked against the loop-form builder."""
+    t, c = equality_form(lp)
+    a, b, ref_c = loop_equality_form(lp)
+    assert t[:-1, :-1].tobytes() == a.tobytes()
+    assert t[:-1, -1].tobytes() == b.tobytes()
+    assert c.tobytes() == ref_c.tobytes()
+    assert not t[-1].any()
+    assert iteration_budget(t) == 200 + 50 * sum(a.shape)
     if max_iter is None:
-        max_iter = iteration_budget(a)
-    status, v = _kernels.simplex_solve(a, b, c, tol, max_iter)
+        max_iter = iteration_budget(t)
+    status, v = _kernels.simplex_solve(t, c, tol, max_iter)
     ref_status, ref_v = loop_simplex_solve(a, b, c, tol, max_iter)
     assert status is ref_status
     assert v.tobytes() == ref_v.tobytes()
@@ -63,8 +72,7 @@ class TestSimplexMatchesLoopOracle:
         widths = {lp.n_vars for lp in lps}
         assert widths == {2 * n, 3 * n}
         for lp in lps:
-            a, b, c = equality_form(lp)
-            assert assert_same_solve(a, b, c) is LPStatus.OPTIMAL
+            assert assert_same_solve(lp) is LPStatus.OPTIMAL
 
     def test_random_general_lps(self):
         # small integer data makes degenerate vertices and exact ratio ties
@@ -81,22 +89,48 @@ class TestSimplexMatchesLoopOracle:
             else:
                 draw = lambda *shape: rng.normal(size=shape)
             lp = LPStandardForm(draw(nv), draw(mu, nv), draw(mu), draw(me, nv), draw(me))
-            a, b, c = equality_form(lp)
-            seen.add(assert_same_solve(a, b, c))
+            seen.add(assert_same_solve(lp))
         assert seen == {
             LPStatus.OPTIMAL,
             LPStatus.INFEASIBLE,
             LPStatus.UNBOUNDED,
         }
 
+    def test_negative_zero_right_hand_side(self):
+        # -0.0 is not negated, but the kernel still sees +0.0
+        lp = LPStandardForm([1.0, -1.0], [[1.0, 1.0], [-1.0, 2.0]], [-0.0, 3.0],
+                            np.zeros((0, 2)), [])
+        assert assert_same_solve(lp) is LPStatus.OPTIMAL
+
     def test_iteration_limit(self):
         rng = np.random.default_rng(13)
         target = TimbralVector(random_simplex(rng, 8))
         bound = TimbralVector(random_simplex(rng, 8))
-        a, b, c = equality_form(design.to_lp(DesignProblem(target, bound)))
+        lp = design.to_lp(DesignProblem(target, bound))
         for max_iter in range(4):
-            status = assert_same_solve(a, b, c, max_iter=max_iter)
+            status = assert_same_solve(lp, max_iter=max_iter)
             assert status is LPStatus.ITERATION_LIMIT
+
+    def test_peak_memory(self):
+        # the system is built in the tableau and pivots update it in blocks,
+        # so one solve holds little beside the tableau
+        rng = np.random.default_rng(17)
+        n = 192
+        target = TimbralVector(random_simplex(rng, n))
+        bound = TimbralVector(random_simplex(rng, n))
+        lp = design.to_lp(DesignProblem(target, bound, Variant.BI_OBJECTIVE))
+        rows = lp.a_ub.shape[0] + lp.a_eq.shape[0]
+        tableau_bytes = (rows + 1) * (lp.n_vars + lp.a_ub.shape[0] + 1) * 8
+        tracemalloc.start()
+        try:
+            result = lp_solve(lp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status is LPStatus.OPTIMAL
+        assert peak <= 1.5 * tableau_bytes
+        # one block of the pivot update and its product, and small vectors
+        assert peak <= tableau_bytes + 3 * _kernels._PIVOT_BLOCK_BYTES
 
 
 def rotation_minimum(mask, n):
