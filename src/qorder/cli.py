@@ -10,8 +10,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -40,21 +38,6 @@ def _domain_errors(func):
             sys.exit(1)
 
     return wrapper
-
-
-def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise ValueError(f"--tol must be finite, got {tol}")
-    if tol < 0:
-        raise ValueError(f"--tol must be nonnegative, got {tol}")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("QO_SEED", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 @click.group()
@@ -128,23 +111,24 @@ def timbre_group() -> None:
     """Brightness order on harmonic spectra."""
 
 
-def _load_vector(path: str, pad_to: int | None) -> timbre.TimbralVector:
-    return spectra.normalize(spectra.load_spectrum(path), pad_to)
+def _load_vectors(paths) -> list[timbre.TimbralVector]:
+    """The spectra at ``paths``, normalised and zero-padded to the longest:
+    unlisted harmonics read as zero power."""
+    raws = [spectra.load_spectrum(path) for path in paths]
+    longest = max(raw.powers.size for raw in raws)
+    return [spectra.normalize(raw, longest) for raw in raws]
 
 
 @timbre_group.command("compare")
 @click.argument("spectrum_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("spectrum_b", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--pad-to", "pad_to", type=int, default=None,
-              help="Zero-pad both spectra up to this harmonic count.")
 @_FORMAT
 @_domain_errors
-def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, pad_to: int | None, fmt: str) -> None:
+def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, fmt: str) -> None:
     """Compare two spectra in the brightness order."""
-    _check_tol(tol)
-    a = _load_vector(spectrum_a, pad_to)
-    b = _load_vector(spectrum_b, pad_to)
+    orders.check_tolerance(tol, "--tol")
+    a, b = _load_vectors([spectrum_a, spectrum_b])
     verdict = timbre.brightness_compare(a, b, tol)
     if fmt == "json":
         _echo_json({"a": a.name, "b": b.name, "verdict": verdict.value})
@@ -157,16 +141,15 @@ def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, pad_to: int | N
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False), default=None,
               help="Write the cover relation as a DOT file.")
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--pad-to", "pad_to", type=int, default=None)
 @_FORMAT
 @_domain_errors
-def timbre_hasse(directory: str, dot_path: str | None, tol: float, pad_to: int | None, fmt: str) -> None:
+def timbre_hasse(directory: str, dot_path: str | None, tol: float, fmt: str) -> None:
     """Brightness diagram of every CSV spectrum in a directory."""
-    _check_tol(tol)
+    orders.check_tolerance(tol, "--tol")
     paths = sorted(Path(directory).glob("*.csv"))
     if not paths:
         raise ValueError(f"no .csv spectra found in {directory}")
-    collection = [_load_vector(str(p), pad_to) for p in paths]
+    collection = _load_vectors(paths)
     diagram = timbre.brightness_hasse(collection, tol)
     dot = spectra.export_dot(diagram.cover, diagram.names)
     if dot_path is not None:
@@ -194,15 +177,12 @@ def timbre_hasse(directory: str, dot_path: str | None, tol: float, pad_to: int |
 @click.option("--bound", "bound_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--variant", type=click.Choice([v.value for v in design_mod.Variant]),
               default=design_mod.Variant.CLOSEST_TO_TARGET.value, show_default=True)
-@click.option("--pad-to", "pad_to", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the solution JSON to this path.")
 @_domain_errors
-def timbre_design(target_path: str, bound_path: str, variant: str,
-                  pad_to: int | None, out_path: str | None) -> None:
+def timbre_design(target_path: str, bound_path: str, variant: str, out_path: str | None) -> None:
     """Find the timbre no brighter than the bound that best matches the target."""
-    target = _load_vector(target_path, pad_to)
-    bound = _load_vector(bound_path, pad_to)
+    target, bound = _load_vectors([target_path, bound_path])
     problem = design_mod.DesignProblem(target, bound, design_mod.Variant(variant))
     solution = design_mod.solve_design(problem)
     if solution.status is design_mod.DesignStatus.OPTIMAL:
@@ -230,15 +210,14 @@ def timbre_design(target_path: str, bound_path: str, variant: str,
 @timbre_group.command("counterexample")
 @click.option("--n", "n", type=int, default=4, show_default=True)
 @click.option("--trials", type=int, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=None, help="Defaults to QO_SEED or 0.")
+@click.option("--seed", type=int, default=0, envvar="QO_SEED", show_default=True,
+              help="Read from QO_SEED when not given.")
 @click.option("--gap-tol", "gap_tol", type=float, default=1e-4, show_default=True)
 @_FORMAT
 @_domain_errors
-def timbre_counterexample(n: int, trials: int, seed: int | None, gap_tol: float, fmt: str) -> None:
+def timbre_counterexample(n: int, trials: int, seed: int, gap_tol: float, fmt: str) -> None:
     """Search for instances where the dominance infimum of bound and target
     fails to minimise the distance to the target."""
-    if seed is None:
-        seed = _default_seed()
     report = design_mod.counterexample_search(n, trials, seed, gap_tol)
     payload = {
         "n": report.n,
@@ -336,7 +315,7 @@ def submajorize_cmd(multiset_a: str, multiset_b: str, tol: float, fmt: str) -> N
             raise ValueError(f"{path}: expected a JSON array of numbers")
         return [float(v) for v in data]
 
-    _check_tol(tol)
+    orders.check_tolerance(tol, "--tol")
     verdict = orders.submajorize_compare(load(multiset_a), load(multiset_b), tol)
     if fmt == "json":
         _echo_json({"verdict": verdict.value})

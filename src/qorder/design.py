@@ -11,22 +11,23 @@ that the solution is itself a timbre.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orders import Comparison
+from .orders import Comparison, check_tolerance
 from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
 from .spectra import MAX_HARMONICS
 from .timbre import (
     TimbralVector,
     _check_power,
+    _check_same_n,
     _infimum_power,
     brightness_compare,
     brightness_matrix,
     infimum,
     suffix_profile,
+    tv_distance,
 )
 
 STAGE_TWO_SLACK = 1e-9
@@ -63,10 +64,7 @@ class DesignProblem:
     variant: Variant = Variant.CLOSEST_TO_TARGET
 
     def __post_init__(self) -> None:
-        if self.target.n != self.bound.n:
-            raise ValueError(
-                f"target has {self.target.n} harmonics, bound has {self.bound.n}"
-            )
+        _check_same_n(self.target, self.bound)
 
     @property
     def n(self) -> int:
@@ -147,7 +145,7 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
         return solve_closest_to_bound(problem)
     p, b = problem.target, problem.bound
     if problem.variant is Variant.BI_OBJECTIVE:
-        optimum = float(np.abs(p.power - b.power).sum())
+        optimum = 2 * tv_distance(p, b)
     else:
         optimum = closest_to_target_optimum(p, b)
     return _certified(problem.n, lp_solve(to_lp(problem)), optimum)
@@ -162,8 +160,7 @@ def closest_to_target_optimum(target: TimbralVector, bound: TimbralVector) -> fl
     Attained: moving mass D from the top harmonics of p down to the
     fundamental costs 2D and leaves S(x)_k = max(S(p)_k - D, 0) <= S(b)_k, k < n.
     """
-    if target.n != bound.n:
-        raise ValueError(f"target has {target.n} harmonics, bound has {bound.n}")
+    _check_same_n(target, bound)
     return _closest_to_target_optimum(suffix_profile(target), suffix_profile(bound))
 
 
@@ -192,11 +189,11 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
         raise ValueError("two-stage refinement applies to the closest-to-bound variant")
     p, b = problem.target, problem.bound
     optimum = closest_to_target_optimum(p, b)
-    direct = float(np.abs(p.power - b.power).sum())
+    direct = 2 * tv_distance(p, b)
     stage_two = _certified(problem.n, lp_solve(to_lp(problem)), direct - optimum, STAGE_TWO_SLACK)
     if stage_two.x is None:
         return stage_two
-    return replace(stage_two, objective=float(np.abs(stage_two.x.power - p.power).sum()))
+    return replace(stage_two, objective=2 * tv_distance(stage_two.x, p))
 
 
 def solution_no_brighter_than_target(problem: DesignProblem, solution: DesignSolution) -> bool:
@@ -241,6 +238,11 @@ def counterexample_search(
     instance where the dominance infimum of bound and target is farther from
     the target than the LP optimum by more than ``gap_tol``.
 
+    A gap counts only above ``CERTIFICATE_TOL`` too, whatever ``gap_tol``:
+    that is the resolution at which the certificate LP can confirm it.  So
+    rounding noise at n <= 3, where the infimum is optimal, is never
+    reported, and a reported gap is never negative.
+
     Each trial draws target and bound as the two rows of one Dirichlet draw,
     checks both as :class:`TimbralVector` would, and is decided from their
     suffix profiles by the formulas behind :func:`timbre.infimum` and
@@ -255,12 +257,10 @@ def counterexample_search(
         raise ValueError("trials must be at least 1")
     if not 2 <= n <= MAX_HARMONICS:
         raise ValueError(f"n must be at least 2 and at most {MAX_HARMONICS}, got {n}")
-    if not math.isfinite(gap_tol):
-        raise ValueError(f"gap_tol must be finite, got {gap_tol}")
-    if gap_tol < 0:
-        raise ValueError(f"gap_tol must be nonnegative, got {gap_tol}")
+    check_tolerance(gap_tol, "gap_tol")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    floor = max(gap_tol, CERTIFICATE_TOL)
     rng = np.random.default_rng(seed)
     alpha = np.ones(n)
     for trial in range(trials):
@@ -271,7 +271,7 @@ def counterexample_search(
         profile_p, profile_b = draws[:, ::-1].cumsum(axis=1)
         objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
         optimum = _closest_to_target_optimum(profile_p, profile_b)
-        if objective_z - optimum <= gap_tol:
+        if objective_z - optimum <= floor:
             continue
         tp, tb = TimbralVector(p), TimbralVector(b)
         z = infimum(tb, tp)

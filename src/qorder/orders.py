@@ -11,9 +11,9 @@ genuine orders.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from operator import index
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,16 +33,34 @@ class Comparison(enum.Enum):
         return self.value
 
 
-def componentwise_verdict(u: np.ndarray, v: np.ndarray, tol: float) -> Comparison:
-    """Compare two vectors under the component-wise order with tolerance ``tol``.
+def check_tolerance(tol: float, name: str) -> None:
+    """Refuse a tolerance ``name`` that is not finite and nonnegative.
 
-    Both directions holding within tolerance is reported as EQUAL.  A
-    negative or NaN ``tol`` raises ValueError: it would break reflexivity.
+    A negative or NaN tolerance would break reflexivity; an infinite one
+    would relate everything.  The message names each rule ``tol`` breaks.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    le = bool(np.all(u <= v + tol))
-    ge = bool(np.all(v <= u + tol))
+    if not 0 <= tol < math.inf:
+        broken = [rule for rule, ok in (("finite", math.isfinite(tol)), ("nonnegative", tol >= 0))
+                  if not ok]
+        raise ValueError("; ".join(f"{name} must be {rule}, got {tol}" for rule in broken))
+
+
+def componentwise_verdict(
+    u: np.ndarray, v: np.ndarray, image: Callable[[np.ndarray], np.ndarray], tol: float
+) -> Comparison:
+    """Compare ``u`` and ``v`` by the component-wise order on ``image(u)`` and
+    ``image(v)``, within ``tol``.
+
+    EQUAL is decided first, on the raw vectors: every component within
+    ``tol``.  Otherwise both image directions holding within tolerance is
+    EQUAL too.  ``tol`` must pass :func:`check_tolerance`.
+    """
+    check_tolerance(tol, "tol")
+    if (np.abs(u - v) <= tol).all():
+        return Comparison.EQUAL
+    u, v = image(u), image(v)
+    le = bool((u <= v + tol).all())
+    ge = bool((v <= u + tol).all())
     if le and ge:
         return Comparison.EQUAL
     if le:
@@ -155,27 +173,37 @@ class GroupAction:
         return len(self.perms)
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an intp array, by the set-class constructors' rule:
-    integers, and integral floats such as 1.0.  Anything else, strings
-    included, raises ValueError."""
+def _integers(values, rule: str) -> np.ndarray:
+    """``values`` as an intp array: integers, and integral floats such as
+    1.0.  Anything else, strings included, raises ValueError with the
+    message ``rule, got ...``."""
     try:
         array = np.asarray(values)
     except ValueError:  # rows of different lengths
-        raise ValueError(f"{what}: expected a rectangular array of integers") from None
+        raise ValueError(f"{rule}, got rows of different lengths") from None
     if array.dtype.kind == "f":
         whole = (np.trunc(array) == array) & (np.abs(array) < 2.0**63)
         if not whole.all():
-            raise ValueError(f"{what}: expected integers, got {array[~whole][0]}")
+            raise ValueError(f"{rule}, got {array[~whole][0]}")
     elif array.dtype.kind not in "biu":
+        if array.ndim == 0:
+            raise ValueError(f"{rule}, got {values!r}")
         got = "strings" if array.dtype.kind in "US" else f"{array.dtype} values"
-        raise ValueError(f"{what}: expected integers, got {got}")
+        raise ValueError(f"{rule}, got {got}")
     return array.astype(np.intp, copy=False)
+
+
+def _integer(value, rule: str) -> int:
+    """One integer, by the rule of :func:`_integers`."""
+    array = _integers(value, rule)
+    if array.ndim:
+        raise ValueError(f"{rule}, got an array of shape {array.shape}")
+    return int(array)
 
 
 def _permutation_array(size: int, perms: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """The (m, size) intp array of ``perms``; ValueError unless each row permutes 0..size-1."""
-    array = _integers(perms, "permutation entries")
+    array = _integers(perms, "permutation entries: expected integers")
     if array.shape == (0,):  # no rows at all
         array = array.reshape(0, size)
     if array.ndim != 2 or array.shape[1] != size:
@@ -334,9 +362,7 @@ def submajorize_compare(
         raise ValueError(f"size mismatch: {left.size} vs {right.size}")
     if left.size == 0:
         raise ValueError("multisets must be nonempty")
-    if bool(np.all(np.abs(left - right) <= tol)):
-        return Comparison.EQUAL
-    return componentwise_verdict(np.cumsum(left), np.cumsum(right), tol)
+    return componentwise_verdict(left, right, np.cumsum, tol)
 
 
 # JSON wire formats ---------------------------------------------------------
@@ -345,7 +371,7 @@ def submajorize_compare(
 def _ground_size(data: dict, kind: str) -> int:
     """The checked ``size`` of a relation or action JSON object."""
     try:
-        size = index(_integers(data["size"], "size"))
+        size = _integer(data["size"], "size: expected integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} JSON: {exc}") from exc
     if not 0 <= size <= MAX_GROUND_SIZE:
@@ -356,7 +382,7 @@ def _ground_size(data: dict, kind: str) -> int:
 def relation_from_json(data: dict) -> FiniteRelation:
     size = _ground_size(data, "relation")
     try:  # unpacked here, so that a row that is not a pair reads as malformed
-        pairs = [(i, j) for i, j in _integers(data["pairs"], "pair entries").tolist()]
+        pairs = [(i, j) for i, j in _integers(data["pairs"], "pair entries: expected integers").tolist()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed relation JSON: {exc}") from exc
     return FiniteRelation.from_pairs(size, pairs)

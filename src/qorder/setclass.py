@@ -13,34 +13,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import add, attrgetter, index, sub
+from operator import add, attrgetter, sub
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .orders import FiniteRelation, minimal_elements
+from .orders import FiniteRelation, _integer, _integers, minimal_elements
 
 MAX_EDO = 24
 # largest family whose dense subset order is built: a 1 GiB boolean table
 MAX_ORDER_CLASSES = 32768
 
 
-def _integral(x) -> bool:
-    """True for a number with no fractional part; strings are not numbers here."""
-    return not isinstance(x, (str, bytes)) and float(x).is_integer()
-
-
 def _checked_edo(edo) -> int:
     """``edo`` as an int of at least 1: integers, and integral floats such as 12.0."""
-    try:
-        value = index(edo)
-    except TypeError:
-        if not _integral(edo):
-            raise ValueError(f"edo must be an integer, got {edo!r}") from None
-        value = int(edo)
+    value = _integer(edo, "edo must be an integer")
     if value < 1:
         raise ValueError("edo must be at least 1")
+    return value
+
+
+def _supported_edo(edo) -> int:
+    """``edo`` as an int in 1..``MAX_EDO``, the edos whose classes are enumerated."""
+    value = _checked_edo(edo)
+    if value > MAX_EDO:
+        raise ValueError(f"edo {value} outside supported range 1..{MAX_EDO}")
     return value
 
 
@@ -53,12 +51,10 @@ class PitchClassSet:
 
     def __post_init__(self) -> None:
         edo = _checked_edo(self.edo)
-        try:
-            members = tuple(sorted(map(index, self.members)))
-        except TypeError:  # by the same rule as the edo
-            if not all(map(_integral, self.members)):
-                raise ValueError(f"pitch classes must be integers, got {self.members}") from None
-            members = tuple(sorted(map(int, self.members)))
+        members = _integers(tuple(self.members), "pitch classes must be integers")
+        if members.ndim != 1:
+            raise ValueError(f"pitch classes must be a flat sequence, got shape {members.shape}")
+        members = tuple(sorted(members.tolist()))
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate pitch classes in {members}")
         if members and (members[0] < 0 or members[-1] >= edo):
@@ -169,6 +165,7 @@ def burnside_count(edo: int) -> int:
     Independent of the enumerator: (1/N) * sum over divisors d of
     phi(d) * 2^(N/d).
     """
+    edo = _checked_edo(edo)
     total = 0
     for d in range(1, edo + 1):
         if edo % d == 0:
@@ -179,9 +176,7 @@ def burnside_count(edo: int) -> int:
 
 def enumerate_set_classes(edo: int) -> list[SetClass]:
     """All set classes of Z_N, empty class included, sorted by representative."""
-    edo = index(edo)  # classes below are built without checks, so with a plain int
-    if not 1 <= edo <= MAX_EDO:
-        raise ValueError(f"edo {edo} outside supported range 1..{MAX_EDO}")
+    edo = _supported_edo(edo)  # classes below are built without checks, so with a plain int
     canon = _kernels.canonical_masks(edo)
     # a mask is the least of its orbit exactly when it is its own minimum
     orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
@@ -254,6 +249,8 @@ def span_profile(pcs: PitchClassSet | SetClass) -> SpanProfile:
 
 def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
     """Nonempty classes whose every adjacent step spans at most ``max_second``."""
+    edo = _supported_edo(edo)
+    max_second = _integer(max_second, "max_second must be an integer")
     if not 1 <= max_second <= edo:
         raise ValueError(f"max_second {max_second} outside 1..{edo}")
     out = []
@@ -266,23 +263,24 @@ def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
     return out
 
 
-def span_limited_minimal(edo: int, max_second: int) -> list[SetClass]:
-    """Minimal classes of the subset order restricted to the bounded-step family.
+def _family_minimal(edo: int, max_second: int) -> tuple[list[SetClass], set[int]]:
+    """The bounded-step family and the indices of its minimal classes, found
+    through the generic order machinery (dense relation + minimal element
+    scan), not through any structural shortcut."""
+    family = span_limited_classes(edo, max_second)
+    return family, minimal_elements(subset_order(family))
 
-    Computed through the generic order machinery (dense relation + minimal
-    element scan), not through any structural shortcut.
-    """
-    members = span_limited_classes(edo, max_second)
-    relation = subset_order(members)
-    keep = minimal_elements(relation)
-    return [members[i] for i in sorted(keep)]
+
+def span_limited_minimal(edo: int, max_second: int) -> list[SetClass]:
+    """Minimal classes of the subset order restricted to the bounded-step family."""
+    family, minimal = _family_minimal(edo, max_second)
+    return [family[i] for i in sorted(minimal)]
 
 
 def thirds_criterion_holds(edo: int, max_second: int) -> bool:
     """Check that the minimal bounded-step classes are exactly those whose
     two-step spans all exceed the step bound."""
-    family = span_limited_classes(edo, max_second)
-    minimal = minimal_elements(subset_order(family))
+    family, minimal = _family_minimal(edo, max_second)
     for i, cls in enumerate(family):
         predicted = span_profile(cls).min_third >= max_second + 1
         if predicted != (i in minimal):

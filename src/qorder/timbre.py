@@ -73,7 +73,7 @@ def brightness_matrix(n: int) -> np.ndarray:
 
 def _check_same_n(a: TimbralVector, b: TimbralVector) -> None:
     if a.n != b.n:
-        raise ValueError(f"harmonic count mismatch: {a.n} vs {b.n}")
+        raise ValueError(f"harmonic count mismatch: {a.n} vs {b.n} harmonics")
 
 
 def brightness_compare(
@@ -83,9 +83,8 @@ def brightness_compare(
     is at most that of ``b`` within ``tol``.  Equality is decided first, on
     the raw vectors."""
     _check_same_n(a, b)
-    if bool(np.all(np.abs(a.power - b.power) <= tol)):
-        return Comparison.EQUAL
-    return componentwise_verdict(suffix_profile(a), suffix_profile(b), tol)
+    # suffix profiles are the running sums of the reversed powers
+    return componentwise_verdict(a.power[::-1], b.power[::-1], np.cumsum, tol)
 
 
 def h_compare(
@@ -102,9 +101,7 @@ def h_compare(
         raise ValueError("H must be nonnegative")
     if np.linalg.matrix_rank(matrix) < a.n:
         raise ValueError("H must be nonsingular")
-    if bool(np.all(np.abs(a.power - b.power) <= tol)):
-        return Comparison.EQUAL
-    return componentwise_verdict(matrix @ a.power, matrix @ b.power, tol)
+    return componentwise_verdict(a.power, b.power, matrix.__matmul__, tol)
 
 
 def infimum(x: TimbralVector, y: TimbralVector) -> TimbralVector:
@@ -159,12 +156,9 @@ def brightness_hasse(
         names.append(v.name)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate names in collection: {sorted(names)}")
+    for v in collection:
+        _check_same_n(collection[0], v)
     k = len(collection)
-    if k:
-        n = collection[0].n
-        for v in collection:
-            if v.n != n:
-                raise ValueError("all vectors in a collection must share n")
     table = np.eye(k, dtype=bool)
     near: list[tuple[str, str]] = []
     for i in range(k):

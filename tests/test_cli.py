@@ -121,6 +121,27 @@ class TestTimbreCommands:
         assert payload["tv_distance"] == pytest.approx(0.4, abs=1e-9)
         assert payload["x_leq_p"] is True
 
+    @pytest.mark.parametrize("command", ["compare", "hasse", "design"])
+    def test_spectra_padded_to_longest(self, runner, tmp_path, command):
+        # a 2- and a 3-harmonic spectrum answer as if the first listed "3,0"
+        spectra = {"a": "1,3.0\n2,1.0\n", "b": "1,1.0\n2,1.0\n3,2.0\n"}
+        outputs = []
+        for padding in ("", "3,0\n"):
+            directory = tmp_path / f"padded{bool(padding)}"
+            directory.mkdir()
+            (directory / "a.csv").write_text(spectra["a"] + padding)
+            (directory / "b.csv").write_text(spectra["b"])
+            a, b = str(directory / "a.csv"), str(directory / "b.csv")
+            args = {
+                "compare": ["timbre", "compare", a, b],
+                "hasse": ["timbre", "hasse", str(directory), "--format", "json"],
+                "design": ["timbre", "design", "--target", b, "--bound", a],
+            }[command]
+            outputs.append(run_ok(runner, args))
+        assert outputs[0] == outputs[1]
+        if command == "compare":
+            assert outputs[0] == "Less\n"
+
     def test_counterexample_text_found(self, runner):
         output = run_ok(runner, ["timbre", "counterexample", "--n", "4", "--trials", "2000",
                                  "--seed", "0"])
@@ -159,27 +180,12 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert "error:" in result.output
 
-    def test_dimension_mismatch_exit_one(self, runner, tmp_path):
-        a = tmp_path / "a.csv"
-        a.write_text("1,1.0\n2,1.0\n")
-        b = tmp_path / "b.csv"
-        b.write_text("1,1.0\n2,1.0\n3,1.0\n")
-        result = runner.invoke(main, ["timbre", "compare", str(a), str(b)])
-        assert result.exit_code == 1
-        assert "error:" in result.output
-
     def test_huge_harmonic_index_exit_one(self, runner, tmp_path):
         huge = tmp_path / "huge.csv"
         huge.write_text("1,1.0\n1000000000000,1\n")
         result = runner.invoke(main, ["timbre", "compare", str(huge), str(huge)])
         assert result.exit_code == 1
         assert f"error: {huge}:2: harmonic index" in result.output
-
-    def test_huge_pad_to_exit_one(self, runner):
-        horn = str(fixture_dir() / "synthetic_horn.csv")
-        result = runner.invoke(main, ["timbre", "compare", horn, horn, "--pad-to", "10000000000"])
-        assert result.exit_code == 1
-        assert "error: pad_to" in result.output
 
     def test_family_above_order_limit_exit_one(self, runner, monkeypatch):
         # edo 12, steps up to 12: 351 nonempty classes
@@ -256,6 +262,13 @@ class TestErrorPaths:
         if option == "--tol":  # refused by the CLI, before any file is read
             assert f"--tol must be {problem}" in result.output
         assert result.output.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_malformed_seed_env_exit_two(self, runner, value):
+        result = runner.invoke(main, ["timbre", "counterexample", "--trials", "5"],
+                               env={"QO_SEED": value})
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
 
     def test_usage_error_exit_two(self, runner):
         result = runner.invoke(main, ["setclass", "minimal", "--edo", "12", "--bogus"])

@@ -385,6 +385,13 @@ class TestCounterexampleSearch:
         report = counterexample_search(3, trials, seed=0)
         assert not report.found
 
+    # the infimum is optimal for n <= 3, so rounding noise must not count as a
+    # gap even at gap_tol = 0; the noise hits came within the first 16 trials
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_hit_below_certificate_resolution(self, n):
+        for seed in range(40):
+            assert not counterexample_search(n, 200, seed, gap_tol=0.0).found, seed
+
     def test_four_harmonics_finds(self):
         report = counterexample_search(4, 2_000, seed=0)
         assert report.found
@@ -500,8 +507,7 @@ class TestCounterexampleSearch:
         assert report.gap == gap
         assert report.lp_objective == lp_objective
 
-    # every first hit of a grid of searches, bit for bit; hits at n = 2 and 3
-    # are rounding noise against gap_tol = 0
+    # every first hit of a grid of searches, bit for bit
     @pytest.mark.parametrize("n", counterexample_hits.SIZES)
     def test_recorded_first_hits(self, n):
         recorded = json.loads(counterexample_hits.PATH.read_text())

@@ -460,6 +460,10 @@ class TestSubmajorize:
             submajorize_compare([1, 2], [1, 2], tol)
         assert submajorize_compare([1, 2], [1, 2], 0.0) is Comparison.EQUAL
 
+    def test_rejects_infinite_tol(self):
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            submajorize_compare([1, 2], [1, 2], float("inf"))
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -82,6 +82,7 @@ class TestPitchClassSet:
         a = PitchClassSet(12, (np.int64(7), 4.0, 0))
         assert a.members == (0, 4, 7)
         assert all(type(x) is int for x in a.members)
+        assert PitchClassSet(12, {7, 4, 0}) == PitchClassSet(12, iter([4, 0, 7])) == a
 
     @pytest.mark.parametrize("member", [0.5, 4.7, float("inf"), float("nan")])
     def test_rejects_non_integer_members(self, member):
@@ -90,7 +91,7 @@ class TestPitchClassSet:
         with pytest.raises(ValueError, match="pitch classes must be integers"):
             class_from_json({"edo": 12, "members": [member, 7]})
 
-    @pytest.mark.parametrize("edo", [12.5, 12.7, float("inf"), float("nan")])
+    @pytest.mark.parametrize("edo", [12.5, 12.7, float("inf"), float("nan"), None])
     def test_rejects_non_integer_edo(self, edo):
         with pytest.raises(ValueError, match="edo must be an integer"):
             PitchClassSet(edo, (0, 4))
@@ -127,6 +128,10 @@ class TestPitchClassSet:
             PitchClassSet.from_mask(12.5, 5)
         with pytest.raises(ValueError, match="edo must be an integer"):
             PitchClassSet.from_mask("12", 5)
+
+    def test_rejects_nested_members(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            PitchClassSet(12, ((0, 4),))
 
     def test_strings_are_not_integers(self):
         with pytest.raises(ValueError, match="edo must be an integer"):
@@ -234,6 +239,19 @@ class TestEnumeration:
                 assert c == rebuilt and hash(c) == hash(rebuilt), (edo, c)
                 assert type(c.edo) is int and type(c.rep.edo) is int
                 assert canonical_form(c.rep) == c, (edo, c)
+
+    def test_every_entry_point_follows_the_edo_rule(self):
+        assert enumerate_set_classes(12.0) == enumerate_set_classes(12)
+        assert burnside_count(12.0) == burnside_count(12) == 352
+        assert span_limited_minimal(12.0, 3.0) == span_limited_minimal(12, 3)
+        calls = (enumerate_set_classes, burnside_count, lambda edo: span_limited_classes(edo, 2))
+        for bad, call in itertools.product((12.5, "12", None), calls):
+            with pytest.raises(ValueError, match="edo must be an integer"):
+                call(bad)
+        with pytest.raises(ValueError, match="max_second must be an integer"):
+            span_limited_classes(12, 2.5)
+        with pytest.raises(ValueError, match="edo must be at least 1"):
+            burnside_count(0)
 
     def test_numpy_edo_gives_plain_ints(self):
         classes = enumerate_set_classes(np.int64(6))
@@ -398,6 +416,11 @@ class TestSpanLimitedFamilies:
     def test_bounds_checked(self):
         with pytest.raises(ValueError, match="max_second"):
             span_limited_classes(12, 0)
+        # a wrong edo is reported before the max_second it bounds
+        with pytest.raises(ValueError, match="edo must be at least 1"):
+            span_limited_classes(0, 1)
+        with pytest.raises(ValueError, match="edo 30 outside supported range"):
+            span_limited_classes(30, 40)
 
     def test_cardinality_screen_drops_no_class(self):
         for edo in range(1, 15):

@@ -83,6 +83,15 @@ class TestBrightnessCompare:
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             h_compare(brightness_matrix(3), a, a, tol)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("-inf")])
+    def test_rejects_infinite_tol(self, tol):
+        # at an infinite tol every pair would compare EQUAL
+        a, b = tv(0.3, 0.3, 0.4), tv(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"tol must be finite, got {tol}"):
+            brightness_compare(a, b, tol)
+        with pytest.raises(ValueError, match=f"tol must be finite, got {tol}"):
+            h_compare(brightness_matrix(3), a, b, tol)
+
     def test_order_axioms_randomized(self):
         rng = np.random.default_rng(6)
         for n in (3, 8, 20):
@@ -255,6 +264,10 @@ class TestBrightnessHasse:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             brightness_hasse([tv(1.0, 0.0, name="x"), tv(0.0, 1.0, name="x")])
+
+    def test_harmonic_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="harmonic count mismatch: 2 vs 3 harmonics"):
+            brightness_hasse([tv(1.0, 0.0, name="x"), tv(0.0, 0.0, 1.0, name="y")])
 
     def test_unnamed_rejected(self):
         with pytest.raises(ValueError, match="name"):
