@@ -36,12 +36,23 @@ _BLOCK_ROWS = 64
 
 
 def canonical_masks(n):
-    """Minimum over the n cyclic bit-rotations, for every mask < 2**n."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    full = np.int64((1 << n) - 1)
-    best = masks.copy()
-    for t in range(1, n):
-        rot = ((masks << t) | (masks >> (n - t))) & full
+    """Minimum over the n cyclic bit-rotations, for every mask < 2**n.
+
+    Masks are held in the narrowest unsigned dtype that fits n bits, the
+    dtype of the result.  Each rotation by one more bit is made in place in
+    one scratch array, with its wrapped bits in a second, so memory is three
+    arrays of 2**n masks.
+    """
+    dtype = np.min_scalar_type((1 << n) - 1)
+    full, one, wrap = dtype.type((1 << n) - 1), dtype.type(1), dtype.type(max(n - 1, 0))
+    best = np.arange(1 << n, dtype=dtype)
+    rot = best.copy()
+    high = np.empty_like(best)
+    for _ in range(1, n):
+        np.right_shift(rot, wrap, out=high)
+        rot <<= one
+        rot |= high
+        rot &= full
         np.minimum(best, rot, out=best)
     return best
 

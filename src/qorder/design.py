@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orders import Comparison, check_tolerance
+from .orders import Comparison, _integer, check_tolerance
 from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
 from .spectra import MAX_HARMONICS
 from .timbre import (
@@ -251,8 +251,12 @@ def counterexample_search(
     objective is reported and which checks itself against the same closed
     form; a status other than OPTIMAL raises RuntimeError.  Stops at the first
     hit; reports not-found when the budget runs out, which is inconclusive
-    rather than a refutation.
+    rather than a refutation.  ``n``, ``trials`` and ``seed`` are integers,
+    or integral floats such as 4.0.
     """
+    n = _integer(n, "n must be an integer")
+    trials = _integer(trials, "trials must be an integer")
+    seed = _integer(seed, "seed must be an integer")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 2 <= n <= MAX_HARMONICS:

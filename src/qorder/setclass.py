@@ -174,25 +174,50 @@ def burnside_count(edo: int) -> int:
     return total // edo
 
 
-def enumerate_set_classes(edo: int) -> list[SetClass]:
-    """All set classes of Z_N, empty class included, sorted by representative."""
-    edo = _supported_edo(edo)  # classes below are built without checks, so with a plain int
+def _step_bounded(edo, max_second) -> tuple[int, int]:
+    """``edo`` and ``max_second`` as ints, the edo checked first: a supported
+    edo, and a step bound in 1..edo."""
+    edo = _supported_edo(edo)
+    max_second = _integer(max_second, "max_second must be an integer")
+    if not 1 <= max_second <= edo:
+        raise ValueError(f"max_second {max_second} outside 1..{edo}")
+    return edo, max_second
+
+
+def enumerate_set_classes(edo: int, max_second: int | None = None) -> list[SetClass]:
+    """Set classes of Z_N sorted by representative: all of them, empty class
+    included, or with ``max_second`` the nonempty classes whose every
+    adjacent step spans at most ``max_second``.
+
+    The step bound is transposition-invariant, so it is decided on each
+    orbit's least mask, and only the classes that meet it are canonicalised.
+    """
+    # classes below are built without checks, so with a plain int edo
+    if max_second is None:
+        edo = _supported_edo(edo)
+    else:
+        edo, max_second = _step_bounded(edo, max_second)
     canon = _kernels.canonical_masks(edo)
     # a mask is the least of its orbit exactly when it is its own minimum
     orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
-    del canon  # its 8 * 2**edo bytes are not needed beside the bit matrix
+    del canon  # not needed beside the bit matrix
     # the members of every orbit minimum from one (K, width) bit matrix, read
     # row by row as bytes: each byte is a member, ascending within a row
     dtype = np.min_scalar_type((1 << edo) - 1).newbyteorder("<")
     bits = np.unpackbits(orbit_masks.astype(dtype).view(np.uint8), bitorder="little")
     bits = bits.reshape(orbit_masks.size, -1).view(bool)
+    sizes = bits.sum(axis=1)
+    if max_second is not None:
+        # k steps of at most max_second reach round the octave only if k * max_second >= edo
+        reach = sizes * max_second >= edo
+        bits, sizes = bits[reach], sizes[reach]
     positions = np.arange(bits.shape[1], dtype=np.uint8)
     members = np.broadcast_to(positions, bits.shape)[bits].tobytes()
-    ends = np.cumsum(bits.sum(axis=1)).tolist()
-    classes = [
-        canonical_form(_derived(edo, tuple(members[lo:hi])))
-        for lo, hi in zip([0, *ends], ends)
-    ]
+    ends = np.cumsum(sizes).tolist()
+    sets = [_derived(edo, tuple(members[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    if max_second is not None:
+        sets = [s for s in sets if max(span_profile(s).seconds) <= max_second]
+    classes = [canonical_form(s) for s in sets]
     classes.sort(key=attrgetter("rep.members"))
     return classes
 
@@ -249,18 +274,7 @@ def span_profile(pcs: PitchClassSet | SetClass) -> SpanProfile:
 
 def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
     """Nonempty classes whose every adjacent step spans at most ``max_second``."""
-    edo = _supported_edo(edo)
-    max_second = _integer(max_second, "max_second must be an integer")
-    if not 1 <= max_second <= edo:
-        raise ValueError(f"max_second {max_second} outside 1..{edo}")
-    out = []
-    for cls in enumerate_set_classes(edo):
-        # k steps of at most max_second reach round the octave only if k * max_second >= edo
-        if cls.cardinality * max_second < edo:
-            continue
-        if max(span_profile(cls).seconds) <= max_second:
-            out.append(cls)
-    return out
+    return enumerate_set_classes(*_step_bounded(edo, max_second))
 
 
 def _family_minimal(edo: int, max_second: int) -> tuple[list[SetClass], set[int]]:

@@ -17,6 +17,7 @@ import numpy as np
 from .orders import (
     Comparison,
     FiniteRelation,
+    check_tolerance,
     componentwise_verdict,
     maximal_elements,
     minimal_elements,
@@ -148,7 +149,9 @@ def brightness_hasse(
 
     Vectors that compare EQUAL within tolerance stay distinct nodes; such
     pairs are reported in ``near_equal`` and contribute no order edge.
+    ``tol`` must pass :func:`check_tolerance`, whatever the collection's size.
     """
+    check_tolerance(tol, "tol")
     names = []
     for v in collection:
         if v.name is None:

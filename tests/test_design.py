@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,27 @@ class TestCounterexampleSearch:
             counterexample_search(4, 0, seed=1)
         with pytest.raises(ValueError, match="n must be"):
             counterexample_search(1, 10, seed=1)
+
+    @pytest.mark.parametrize("args", [(4.0, 2_000, 0), (4, 2_000.0, 0), (4, 2_000, 0.0)])
+    def test_integral_floats_accepted(self, args):
+        report = counterexample_search(*args)
+        expected = counterexample_search(4, 2_000, 0)
+        assert report.found and report.trial_index == expected.trial_index
+        assert report.target.tobytes() == expected.target.tobytes()
+        assert (report.n, report.trials, report.seed) == (4, 2_000, 0)
+        assert (type(report.n), type(report.trials), type(report.seed)) == (int, int, int)
+
+    @pytest.mark.parametrize("args, message", [
+        ((4.5, 10, 0), "n must be an integer, got 4.5"),
+        ((4, 10.5, 0), "trials must be an integer, got 10.5"),
+        ((4, 10, 1.5), "seed must be an integer, got 1.5"),
+        (("4", 10, 0), "n must be an integer, got '4'"),
+        ((4, None, 0), "trials must be an integer, got None"),
+        ((4, 10, [0]), "seed must be an integer, got an array of shape (1,)"),
+    ])
+    def test_non_integers_rejected(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counterexample_search(*args)
 
     def test_bounds_checked_before_allocating(self, monkeypatch):
         # every trial starts with the generator's Dirichlet draw

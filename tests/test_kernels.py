@@ -16,6 +16,7 @@ from qorder.setclass import PitchClassSet, SetClass, span_limited_classes
 from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget, lp_solve
 from qorder.timbre import TimbralVector
 
+from reference_setclass import int64_canonical_masks
 from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex
 
@@ -143,6 +144,29 @@ class TestBitmaskKernels:
     def test_canonical_masks_is_rotation_minimum(self, n):
         expected = [rotation_minimum(m, n) for m in range(1 << n)]
         assert _kernels.canonical_masks(n).tolist() == expected
+
+    @pytest.mark.parametrize("n, dtype", [
+        (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+        (17, np.uint32), (20, np.uint32),
+    ])
+    def test_canonical_masks_narrow_dtype(self, n, dtype):
+        assert _kernels.canonical_masks(n).dtype == dtype
+
+    @pytest.mark.parametrize("n", (8, 9, 16, 17, 20))
+    def test_canonical_masks_matches_int64_loop(self, n):
+        expected = int64_canonical_masks(n)
+        assert np.array_equal(_kernels.canonical_masks(n), expected)
+
+    def test_canonical_masks_peak_memory(self):
+        # the result and two scratch arrays, with no temporary per rotation
+        tracemalloc.start()
+        try:
+            best = _kernels.canonical_masks(20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert best.nbytes == 4 << 20
+        assert peak <= 3 * best.nbytes + (64 << 10)
 
     # 8/9, 16/17 and 24 straddle the uint8, uint16 and uint32 mask dtypes
     @pytest.mark.parametrize("n", (3, 7, 8, 9, 12, 16, 17, 24))

@@ -24,6 +24,7 @@ from qorder.setclass import (
     thirds_criterion_holds,
 )
 
+from reference_setclass import filtered_family
 from structures import class_leq
 
 # orbit counts for 2 colours (hand-checked against the counting formula)
@@ -429,6 +430,61 @@ class TestSpanLimitedFamilies:
                 unscreened = [c for c in classes
                               if c.cardinality and max(span_profile(c).seconds) <= max_second]
                 assert span_limited_classes(edo, max_second) == unscreened, (edo, max_second)
+
+
+class TestStepBoundPerOrbit:
+    """``enumerate_set_classes(edo, max_second)`` decides the bound on orbit
+    minima and canonicalises only the family; the reference filters every
+    canonicalised class."""
+
+    @pytest.mark.parametrize("edo", range(1, 17))
+    def test_every_bound_matches_the_filter(self, edo):
+        classes = enumerate_set_classes(edo)
+        for max_second in range(1, edo + 1):
+            expected = filtered_family(classes, edo, max_second)
+            assert enumerate_set_classes(edo, max_second) == expected, max_second
+            assert span_limited_classes(edo, max_second) == expected, max_second
+
+    @pytest.mark.parametrize("edo", range(17, 21))
+    def test_small_bounds_match_the_filter_above_16(self, edo):
+        classes = enumerate_set_classes(edo)
+        for max_second in range(1, 5):
+            expected = filtered_family(classes, edo, max_second)
+            assert enumerate_set_classes(edo, max_second) == expected, max_second
+
+    @pytest.mark.parametrize("max_second, size", [(1, 1), (3, 3244)])
+    def test_only_the_family_is_canonicalised(self, monkeypatch, max_second, size):
+        calls = []
+        canonical = setclass.canonical_form
+
+        def counted(pcs):
+            calls.append(pcs)
+            return canonical(pcs)
+
+        monkeypatch.setattr(setclass, "canonical_form", counted)
+        family = span_limited_classes(18, max_second)
+        assert len(family) == size
+        assert len(calls) == len(family)
+
+    @pytest.mark.parametrize("edo, max_second, message", [
+        (0, 1, "edo must be at least 1"),
+        (30, 40, "edo 30 outside supported range"),
+        (12.5, 1, "edo must be an integer, got 12.5"),
+        (12, 0, "max_second 0 outside 1..12"),
+        (12, 13, "max_second 13 outside 1..12"),
+        (12, 2.5, "max_second must be an integer, got 2.5"),
+        (12, "2", "max_second must be an integer, got '2'"),
+    ])
+    def test_same_errors_through_both_entry_points(self, edo, max_second, message):
+        errors = []
+        for entry in (enumerate_set_classes, span_limited_classes):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                entry(edo, max_second)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_integral_float_bound_accepted(self):
+        assert enumerate_set_classes(12.0, 2.0) == span_limited_classes(12, 2)
 
 
 TABLE_MINIMAL = {

@@ -272,3 +272,13 @@ class TestBrightnessHasse:
     def test_unnamed_rejected(self):
         with pytest.raises(ValueError, match="name"):
             brightness_hasse([tv(1.0, 0.0)])
+
+    @pytest.mark.parametrize("tol, message", [
+        (float("nan"), "tol must be finite, got nan"),
+        (-1.0, "tol must be nonnegative, got -1.0"),
+        (float("inf"), "tol must be finite, got inf"),
+    ])
+    def test_tol_checked_for_one_vector(self, tol, message):
+        # a single vector is compared with nothing, so only the entry check sees tol
+        with pytest.raises(ValueError, match=message):
+            brightness_hasse([TimbralVector([1.0], "a")], tol)
