@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -313,7 +314,15 @@ def submajorize_cmd(multiset_a: str, multiset_b: str, tol: float, fmt: str) -> N
             data = data["values"]
         if not isinstance(data, list):
             raise ValueError(f"{path}: expected a JSON array of numbers")
-        return [float(v) for v in data]
+        values = []
+        for v in data:
+            try:
+                values.append(float(v))
+            except (TypeError, ValueError):
+                values.append(math.nan)
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}: expected finite numbers, got {json.dumps(v)}")
+        return values
 
     orders.check_tolerance(tol, "--tol")
     verdict = orders.submajorize_compare(load(multiset_a), load(multiset_b), tol)

@@ -1,9 +1,10 @@
 """Pitch class sets in N-tone equal temperament and their transposition classes.
 
-Sets live in Z_N as bitmasks.  A set class is a transposition orbit; its
-canonical representative is the lexicographically least ascending member
-sequence among the N transpositions, so nonempty representatives always start
-at 0.  It is read off the least cyclic rotation of the set's step sequence.
+Sets live in Z_N as bitmasks.  A set class is a transposition orbit, and a
+:class:`SetClass` is the orbit's canonical representative: the set whose
+ascending members are lexicographically least among the N transpositions, so
+nonempty classes always start at 0.  It is read off the least cyclic rotation
+of the set's step sequence, and every class is that one object, built once.
 The subset order on classes ("some transposition embeds") is realised as a
 dense relation so the generic order utilities apply.
 """
@@ -66,13 +67,9 @@ class PitchClassSet:
     @classmethod
     def from_mask(cls, edo: int, mask: int) -> "PitchClassSet":
         """The set of bit positions below ``edo`` that are set in ``mask``."""
-        mask &= (1 << _checked_edo(edo)) - 1
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(edo, tuple(members))
+        edo = _checked_edo(edo)
+        mask &= (1 << edo) - 1
+        return cls(edo, tuple(x for x in range(mask.bit_length()) if mask >> x & 1))
 
     @property
     def mask(self) -> int:
@@ -92,43 +89,28 @@ class PitchClassSet:
         return "{" + ",".join(str(x) for x in self.members) + "}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class SetClass:
-    """A transposition orbit of pitch class sets, keyed by its canonical rep."""
-
-    edo: int
-    rep: PitchClassSet
+@dataclass(frozen=True, slots=True)
+class SetClass(PitchClassSet):
+    """A transposition orbit, stored as its canonical representative: any
+    member of the orbit given to the constructor (or to ``from_mask``) is
+    replaced by that representative.  A class never equals a plain set."""
 
     def __post_init__(self) -> None:
-        if self.rep.edo != self.edo:
-            raise ValueError("representative edo disagrees with class edo")
-
-    @property
-    def cardinality(self) -> int:
-        return self.rep.cardinality
-
-    @property
-    def mask(self) -> int:
-        return self.rep.mask
-
-    def __str__(self) -> str:
-        return str(self.rep)
+        # zero-argument super() fails in a slots=True dataclass, which is a new class
+        PitchClassSet.__post_init__(self)
+        object.__setattr__(self, "members", canonical_form(self).members)
 
 
-def _derived(edo: int, members: tuple[int, ...], kind: type = PitchClassSet):
-    """A set, or with ``kind=SetClass`` its class, built without the constructors' checks.
+def _derived(kind: type, edo: int, members: tuple[int, ...]):
+    """A set or a class of type ``kind``, built without the constructors' checks.
 
     Only for values valid by construction: ``members`` sorted, distinct ints
-    below ``edo``, an int that the constructors have already accepted.
+    below ``edo``, an int that the constructors have already accepted, and for
+    a class the canonical members.
     """
-    pcs = object.__new__(PitchClassSet)
-    object.__setattr__(pcs, "edo", edo)
-    object.__setattr__(pcs, "members", members)
-    if kind is PitchClassSet:
-        return pcs
-    out = object.__new__(SetClass)
+    out = object.__new__(kind)
     object.__setattr__(out, "edo", edo)
-    object.__setattr__(out, "rep", pcs)
+    object.__setattr__(out, "members", members)
     return out
 
 
@@ -156,7 +138,7 @@ def canonical_form(pcs: PitchClassSet) -> SetClass:
             k, twice = len(steps), steps + steps
             least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
         members = (0, *accumulate(least[:-1]))
-    return _derived(edo, members, SetClass)
+    return _derived(SetClass, edo, members)
 
 
 def burnside_count(edo: int) -> int:
@@ -214,11 +196,12 @@ def enumerate_set_classes(edo: int, max_second: int | None = None) -> list[SetCl
     positions = np.arange(bits.shape[1], dtype=np.uint8)
     members = np.broadcast_to(positions, bits.shape)[bits].tobytes()
     ends = np.cumsum(sizes).tolist()
-    sets = [_derived(edo, tuple(members[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    sets = [_derived(PitchClassSet, edo, tuple(members[lo:hi]))
+            for lo, hi in zip([0, *ends], ends)]
     if max_second is not None:
         sets = [s for s in sets if max(span_profile(s).seconds) <= max_second]
     classes = [canonical_form(s) for s in sets]
-    classes.sort(key=attrgetter("rep.members"))
+    classes.sort(key=attrgetter("members"))
     return classes
 
 
@@ -247,29 +230,30 @@ def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
 
 @dataclass(frozen=True, slots=True)
 class SpanProfile:
-    """Cyclic step spans of a nonempty class: adjacent and next-but-one."""
+    """Cyclic step spans of a nonempty set; each next-but-one span sums two adjacent."""
 
     seconds: tuple[int, ...]
-    thirds: tuple[int, ...]
+
+    @property
+    def thirds(self) -> tuple[int, ...]:
+        seconds = self.seconds
+        return tuple(map(add, seconds, seconds[1:] + seconds[:1]))
 
     @property
     def min_third(self) -> int:
         return min(self.thirds)
 
 
-def span_profile(pcs: PitchClassSet | SetClass) -> SpanProfile:
-    """Adjacent-step and two-step spans of a set, walking the full octave once.
+def span_profile(pcs: PitchClassSet) -> SpanProfile:
+    """Cyclic step spans of a set, walking the full octave once.
 
-    For a single pitch class the lone step wraps the whole octave.  The
-    profile of a :class:`SetClass` is taken on its canonical representative;
-    other representatives give a cyclic rotation of the same profile.
+    For a single pitch class the lone step wraps the whole octave.  A
+    :class:`SetClass` is its canonical representative, so that is where its
+    profile is taken; other representatives give a cyclic rotation of it.
     """
-    source = pcs.rep if isinstance(pcs, SetClass) else pcs
-    if not source.members:
+    if not pcs.members:
         raise ValueError("span profile of the empty set is undefined")
-    seconds = _steps(source.members, source.edo)
-    thirds = tuple(map(add, seconds, seconds[1:] + seconds[:1]))
-    return SpanProfile(seconds, thirds)
+    return SpanProfile(_steps(pcs.members, pcs.edo))
 
 
 def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
@@ -306,11 +290,11 @@ def thirds_criterion_holds(edo: int, max_second: int) -> bool:
 
 
 def class_to_json(cls: SetClass) -> dict:
-    return {"edo": cls.edo, "members": list(cls.rep.members)}
+    return {"edo": cls.edo, "members": list(cls.members)}
 
 
 def class_from_json(data: dict) -> SetClass:
     try:
-        return canonical_form(PitchClassSet(data["edo"], tuple(data["members"])))
+        return SetClass(data["edo"], tuple(data["members"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed set class JSON: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .orders import FiniteRelation
+from .orders import FiniteRelation, _integer
 from .timbre import TimbralVector
 
 FIXTURE_NAMES = (
@@ -99,12 +99,18 @@ def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:
         raise ValueError(f"spectrum {raw.name!r} has zero total power")
     powers = raw.powers / total
     if pad_to is not None:
+        pad_to = _integer(pad_to, "pad_to must be an integer")
         if pad_to < powers.size:
             raise ValueError(f"pad_to {pad_to} below spectrum length {powers.size}")
         if pad_to > MAX_HARMONICS:
             raise ValueError(f"pad_to {pad_to} above the limit of {MAX_HARMONICS} harmonics")
         powers = np.concatenate([powers, np.zeros(pad_to - powers.size)])
     return TimbralVector(powers, raw.name)
+
+
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID, its backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(cover: FiniteRelation, names: Sequence[str]) -> str:
@@ -117,10 +123,10 @@ def export_dot(cover: FiniteRelation, names: Sequence[str]) -> str:
         raise ValueError("one name per relation element required")
     lines = ["digraph brightness {"]
     for name in sorted(names):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     edges = sorted((names[i], names[j]) for i, j in cover.pairs())
     for src, dst in edges:
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

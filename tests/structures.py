@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from qorder.orders import FiniteRelation, GroupAction, _permutation_array, _two_step
-from qorder.setclass import SetClass
+from qorder.setclass import PitchClassSet
 
 
 def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
@@ -70,9 +70,9 @@ def powerset_inclusion(n: int) -> tuple[FiniteRelation, GroupAction]:
     return FiniteRelation(size, table), action
 
 
-def class_leq(a: SetClass, b: SetClass) -> bool:
-    """True when some transposition of ``a``'s representative is a subset of
-    ``b``'s: the subset order one pair at a time, over every rotation."""
+def class_leq(a: PitchClassSet, b: PitchClassSet) -> bool:
+    """True when some transposition of ``a`` is a subset of ``b``: the subset
+    order on their classes, one pair at a time, over every rotation."""
     if a.edo != b.edo:
         raise ValueError(f"edo mismatch: {a.edo} vs {b.edo}")
     edo = a.edo

@@ -108,6 +108,19 @@ class TestTimbreCommands:
         run_ok(runner, ["timbre", "hasse", str(fixture_dir()), "--dot", str(dot_path)])
         assert dot_path.read_text() == (GOLDEN / "fixture_hasse.dot").read_text()
 
+    def test_hasse_dot_escapes_quote_and_backslash(self, runner, tmp_path):
+        directory = tmp_path / "spectra"
+        directory.mkdir()
+        names = {'a"b': "1,2.0\n2,1.0\n", "c\\d": "1,1.0\n2,2.0\n"}
+        for name, text in names.items():
+            (directory / f"{name}.csv").write_text(text)
+        dot_path = tmp_path / "out.dot"
+        output = run_ok(runner, ["timbre", "hasse", str(directory), "--dot", str(dot_path)])
+        assert output.splitlines()[2] == 'a"b -> c\\d'
+        assert dot_path.read_text() == (
+            'digraph brightness {\n  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -> "c\\\\d";\n}\n'
+        )
+
     def test_design_writes_out_file(self, runner, tmp_path):
         out = tmp_path / "solution.json"
         output = run_ok(runner, [
@@ -262,6 +275,20 @@ class TestErrorPaths:
         if option == "--tol":  # refused by the CLI, before any file is read
             assert f"--tol must be {problem}" in result.output
         assert result.output.startswith("error:")
+
+    @pytest.mark.parametrize("values, shown", [
+        ("[1, [2]]", "[2]"),
+        ("[1, null]", "null"),
+        ('[1, {"a": 2}]', '{"a": 2}'),
+        ("[1, NaN]", "NaN"),
+        ('{"values": [Infinity, 1]}', "Infinity"),
+    ], ids=["nested", "null", "object", "nan", "infinity"])
+    def test_submajorize_non_number_exit_one(self, runner, tmp_path, values, shown):
+        bad = tmp_path / "bad.json"
+        bad.write_text(values)
+        result = runner.invoke(main, ["submajorize", str(bad), str(DATA / "submajorize_b.json")])
+        assert result.exit_code == 1
+        assert result.output == f"error: {bad}: expected finite numbers, got {shown}\n"
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_malformed_seed_env_exit_two(self, runner, value):

@@ -12,7 +12,7 @@ import pytest
 
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
-from qorder.setclass import PitchClassSet, SetClass, span_limited_classes
+from qorder.setclass import PitchClassSet, span_limited_classes
 from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget, lp_solve
 from qorder.timbre import TimbralVector
 
@@ -175,9 +175,9 @@ class TestBitmaskKernels:
         edges = [0, (1 << n) - 1] + [1 << i for i in range(n)]
         drawn = rng.integers(0, 1 << n, size=40)
         masks = np.unique(np.concatenate([edges, drawn])).astype(np.int64)
-        classes = [SetClass(n, PitchClassSet.from_mask(n, int(m))) for m in masks]
+        sets = [PitchClassSet.from_mask(n, int(m)) for m in masks]
         table = _kernels.subset_leq_matrix(masks, n)
-        expected = [[class_leq(x, y) for y in classes] for x in classes]
+        expected = [[class_leq(x, y) for y in sets] for x in sets]
         assert table.tolist() == expected
 
     def test_subset_leq_matrix_peak_memory(self):

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qorder.orders import relation_axioms
 from qorder.setclass import (
     PitchClassSet,
     SetClass,
+    SpanProfile,
     burnside_count,
     canonical_form,
     class_from_json,
@@ -56,6 +58,13 @@ def rotate_and_sort(p):
 def pitch_class_sets(draw):
     edo = draw(st.integers(1, 24))
     return PitchClassSet.from_mask(edo, draw(st.integers(0, (1 << edo) - 1)))
+
+
+@st.composite
+def small_masks(draw):
+    """An edo of at most 14 and a mask below it."""
+    edo = draw(st.integers(1, 14))
+    return edo, draw(st.integers(0, (1 << edo) - 1))
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -145,10 +154,10 @@ class TestCanonicalForm:
     def test_transposition_collapse(self):
         assert cls(12, (2, 6, 9)) == cls(12, (0, 4, 7))
         assert cls(12, (1, 5, 9)) == cls(12, (0, 4, 8))
-        assert cls(12, (1, 5, 9)).rep.members == (0, 4, 8)
+        assert cls(12, (1, 5, 9)).members == (0, 4, 8)
 
     def test_empty(self):
-        assert cls(12, ()).rep.members == ()
+        assert cls(12, ()).members == ()
 
     def test_nonempty_rep_contains_zero(self):
         rng = np.random.default_rng(2)
@@ -156,20 +165,20 @@ class TestCanonicalForm:
             members = tuple(np.flatnonzero(rng.random(12) < 0.4))
             c = cls(12, members)
             if members:
-                assert c.rep.members[0] == 0
+                assert c.members[0] == 0
 
     def test_rep_is_lexicographically_least(self):
         a = pcs(12, (0, 4, 7))
         rotations = sorted(
             tuple(sorted((x + t) % 12 for x in a.members)) for t in range(12)
         )
-        assert cls(12, a.members).rep.members == rotations[0]
+        assert cls(12, a.members).members == rotations[0]
 
     def test_matches_rotate_and_sort_exhaustive(self):
         for edo in range(1, 15):
             for mask in range(1 << edo):
                 p = PitchClassSet.from_mask(edo, mask)
-                assert canonical_form(p).rep.members == rotate_and_sort(p), (edo, mask)
+                assert canonical_form(p).members == rotate_and_sort(p), (edo, mask)
 
     @PROPERTY
     @given(pitch_class_sets(), st.integers(-30, 30))
@@ -180,10 +189,10 @@ class TestCanonicalForm:
     @given(pitch_class_sets())
     def test_idempotent_and_starts_at_zero(self, p):
         c = canonical_form(p)
-        assert canonical_form(c.rep) == c
+        assert canonical_form(c) == c
         assert c.cardinality == p.cardinality
         if p.members:
-            assert c.rep.members[0] == 0
+            assert c.members[0] == 0
 
     def test_invariance_exhaustive_small(self):
         for edo in range(1, 8):
@@ -210,6 +219,62 @@ class TestCanonicalForm:
         assert class_from_json({"edo": 12, "members": [2, 6, 9]}) == c
 
 
+class TestSetClassIsItsCanonicalSet:
+    @PROPERTY
+    @given(small_masks())
+    def test_every_constructor_canonicalises(self, drawn):
+        edo, mask = drawn
+        p = PitchClassSet.from_mask(edo, mask)
+        c = SetClass(edo, p.members)
+        assert c == canonical_form(p)
+        assert canonical_form(c) == c
+        assert SetClass.from_mask(edo, mask) == canonical_form(p)
+
+    def test_non_canonical_members_are_replaced(self):
+        c = SetClass(12, (4, 7, 11))
+        assert c.members == (0, 3, 7) and str(c) == "{0,3,7}"
+        assert class_from_json({"edo": 12, "members": [11, 4, 7]}) == c
+
+    @PROPERTY
+    @given(small_masks(), st.integers(-30, 30))
+    def test_never_equals_a_plain_set(self, drawn, t):
+        c = SetClass.from_mask(*drawn)
+        plain = PitchClassSet(c.edo, c.members)
+        assert c != plain and plain != c
+        moved = c.transpose(t)
+        assert type(moved) is PitchClassSet
+        assert canonical_form(moved) == c
+
+    @pytest.mark.parametrize("edo, members", [
+        (12, (0, 12)),
+        (12, (4, 0, 4)),
+        (12, (5, -3, -1)),
+        (12, (0, 0.5)),
+        (12, (0, float("nan"))),
+        (12, (0, "4")),
+        (12, ((0, 4),)),
+        (12, 5),
+        (12.5, (0,)),
+        ("12", (0,)),
+        (None, ()),
+        (0, ()),
+        (-1, (0,)),
+    ])
+    def test_refuses_what_a_set_refuses(self, edo, members):
+        with pytest.raises((ValueError, TypeError)) as plain:
+            PitchClassSet(edo, members)
+        with pytest.raises((ValueError, TypeError)) as klass:
+            SetClass(edo, members)
+        assert type(klass.value) is type(plain.value)
+        assert str(klass.value) == str(plain.value)
+
+    def test_one_object_with_the_sets_fields(self):
+        assert [f.name for f in fields(SetClass)] == [f.name for f in fields(PitchClassSet)]
+        assert not vars(SetClass).get("__annotations__")
+        assert [f.name for f in fields(SpanProfile)] == ["seconds"]
+        assert SpanProfile((2, 2, 1)).thirds == (4, 3, 3)
+
+
 class TestEnumeration:
     def test_small_counts_match_oracle_table(self):
         for edo, expected in EXPECTED_COUNTS.items():
@@ -226,7 +291,7 @@ class TestEnumeration:
                 seen.append(s)
         classes = enumerate_set_classes(3)
         assert len(classes) == len(seen) == 4
-        assert [c.rep.members for c in classes] == [(), (0,), (0, 1), (0, 1, 2)]
+        assert [c.members for c in classes] == [(), (0,), (0, 1), (0, 1, 2)]
 
     def test_counts_match_orbit_formula_to_twenty(self):
         for edo in range(1, 21):
@@ -236,10 +301,10 @@ class TestEnumeration:
         # the enumerator builds its values without the constructors' checks
         for edo in range(1, 15):
             for c in enumerate_set_classes(edo):
-                rebuilt = SetClass(edo, PitchClassSet(edo, c.rep.members))
+                rebuilt = SetClass(edo, c.members)
                 assert c == rebuilt and hash(c) == hash(rebuilt), (edo, c)
-                assert type(c.edo) is int and type(c.rep.edo) is int
-                assert canonical_form(c.rep) == c, (edo, c)
+                assert type(c) is SetClass and type(c.edo) is int
+                assert canonical_form(c) == c, (edo, c)
 
     def test_every_entry_point_follows_the_edo_rule(self):
         assert enumerate_set_classes(12.0) == enumerate_set_classes(12)
@@ -406,7 +471,7 @@ class TestSpanProfile:
 class TestSpanLimitedFamilies:
     def test_chromatic_only_at_one(self):
         family = span_limited_classes(12, 1)
-        assert [c.rep.members for c in family] == [tuple(range(12))]
+        assert [c.members for c in family] == [tuple(range(12))]
 
     def test_diatonic_in_two(self):
         assert cls(12, (0, 2, 4, 5, 7, 9, 11)) in span_limited_classes(12, 2)

@@ -80,6 +80,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="pad_to"):
             normalize(raw, pad_to=MAX_HARMONICS + 1)
 
+    def test_pad_to_follows_the_integer_rule(self):
+        raw = RawSpectrum("x", np.array([1.0, 1.0]))
+        for pad_to in (3.0, np.int64(3), np.uint8(3)):
+            padded = normalize(raw, pad_to=pad_to)
+            assert padded.n == 3 and np.allclose(padded.power, [0.5, 0.5, 0.0])
+
+    @pytest.mark.parametrize("pad_to", [3.5, "3", float("nan"), float("inf"), [3]])
+    def test_non_integer_pad_to_rejected(self, pad_to):
+        raw = RawSpectrum("x", np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="pad_to must be an integer"):
+            normalize(raw, pad_to=pad_to)
+
     def test_all_zero_rejected(self):
         raw = RawSpectrum("x", np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="zero total power"):
@@ -118,6 +130,19 @@ class TestExportDot:
         cover = FiniteRelation.from_pairs(3, [(2, 0), (1, 0)])
         names = ["c", "a", "b"]
         assert export_dot(cover, names) == export_dot(cover, names)
+
+    def test_quotes_and_backslashes_escaped(self):
+        cover = FiniteRelation.from_pairs(3, [(0, 1), (1, 2)])
+        dot = export_dot(cover, ['a"b', "c", "d\\"])
+        assert dot.splitlines() == [
+            "digraph brightness {",
+            '  "a\\"b";',
+            '  "c";',
+            '  "d\\\\";',
+            '  "a\\"b" -> "c";',
+            '  "c" -> "d\\\\";',
+            "}",
+        ]
 
     def test_name_count_checked(self):
         cover = FiniteRelation.from_pairs(2, [(0, 1)])
