@@ -2,8 +2,10 @@
 
 ``canonical_masks`` and ``subset_leq_matrix`` are the bitmask kernels behind
 set-class enumeration and the class subset order; ``simplex_solve`` is the
-pivot loop behind every LP.  The tests check the simplex against a scalar
-loop form of the same pivot sequence (``tests/reference_simplex.py``).
+pivot loop behind every LP, started from a basis its caller gives, so that
+rows whose slack is already feasible skip phase 1.  The tests check the
+simplex against a scalar loop form of the same pivot sequence
+(``tests/reference_simplex.py``).
 
 ``simplex_solve`` reports its outcome as an ``LPStatus``.
 """
@@ -113,24 +115,27 @@ def _pivot(t, r, col, block_rows):
     t[r, col] = 1.0
 
 
-def simplex_solve(t, c, tol, max_iter):
+def simplex_solve(t, c, basis, tol, max_iter):
     """Minimise c.v subject to a.v = b (b >= 0), v >= 0, in place.
 
     ``t`` is the (m + 1) x (n + 1) tableau: a in ``t[:m, :n]``, b in
     ``t[:m, n]`` and a zero last row; the solve overwrites it.
-    Slack/surplus columns must already be part of ``a``; one artificial
-    variable per row (basis index n + i for row i) starts basic and is driven
-    out by the first phase.  Artificial columns never enter and no pivot
+    Slack/surplus columns must already be part of ``a``.  ``basis`` gives the
+    starting basic variable of each row: a column j < n that is the unit
+    vector of that row, such as a slack, or the artificial index n + i for
+    row i.  Artificial rows alone make the phase-1 objective, and the first
+    phase drives them out.  Artificial columns never enter and no pivot
     decision reads them, so the tableau leaves them out.  Bland's rule
     (lowest eligible entering column; ratio ties broken by the lowest basis
     variable) guarantees termination.  Returns (LPStatus, v).
     """
     m, n = t.shape[0] - 1, t.shape[1] - 1
     block_rows = max(1, _PIVOT_BLOCK_BYTES // t[0].nbytes)
-    basis = np.arange(n, n + m)
+    basis = np.array(basis, dtype=np.intp)
     # phase-1 objective (sum of artificials) in reduced form, subtracted one
-    # row at a time in row order
-    for i in range(m):
+    # artificial row at a time in row order; a basic unit column already has
+    # reduced cost 0
+    for i in (basis >= n).nonzero()[0]:
         t[m] -= t[i]
     body = t[:m]
     rhs = t[:m, n]

@@ -316,10 +316,13 @@ def submajorize_cmd(multiset_a: str, multiset_b: str, tol: float, fmt: str) -> N
             raise ValueError(f"{path}: expected a JSON array of numbers")
         values = []
         for v in data:
+            # only JSON numbers: not true/false, which Python counts as ints,
+            # nor numeric strings; an integer beyond the float range overflows
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
             try:
-                values.append(float(v))
-            except (TypeError, ValueError):
-                values.append(math.nan)
+                values.append(float(v) if number else math.nan)
+            except OverflowError:
+                values.append(math.inf)
             if not math.isfinite(values[-1]):
                 raise ValueError(f"{path}: expected finite numbers, got {json.dumps(v)}")
         return values

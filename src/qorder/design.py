@@ -119,16 +119,46 @@ def to_lp(problem: DesignProblem) -> LPStandardForm:
     return LPStandardForm(c, a_ub, b_ub, a_eq, np.array([1.0]))
 
 
-def _certified(n: int, result: LPResult, optimum: float, slack: float = 0.0) -> DesignSolution:
-    """The answer of an LP whose optimum lies in [optimum - slack, optimum]; an
-    objective farther than ``CERTIFICATE_TOL`` from that range is a numerical
-    failure, which keeps the rejected objective and no point."""
+def _certified(problem: DesignProblem, result: LPResult) -> DesignSolution:
+    """The LP's answer, certified on its cost and on its point, in O(n).
+
+    Each variant's optimum is proved in closed form (:func:`solve_design`,
+    :func:`solve_closest_to_bound`); the closest-to-bound LP may undercut it
+    by its slack.  The answer is a numerical failure, which keeps the
+    rejected objective and no point, unless within ``CERTIFICATE_TOL`` the
+    objective lies in that range, and the point x is a timbre no brighter
+    than the bound, S(x) <= S(b), whose own objective attains the optimum:
+    ||x - p||_1 for closest-to-target, ||x - p||_1 + ||x - b||_1 for
+    bi-objective, and ||x - b||_1 within the budget ||x - p||_1 <= 2D +
+    STAGE_TWO_SLACK for closest-to-bound.  A feasible point that attains a
+    proved lower bound is optimal, whatever the simplex did.
+    """
     status = _DESIGN_STATUS[result.status]
     if status is not DesignStatus.OPTIMAL:
         return DesignSolution(None, float("nan"), status)
-    if not optimum - slack - CERTIFICATE_TOL <= result.cost <= optimum + CERTIFICATE_TOL:
-        return DesignSolution(None, result.cost, DesignStatus.NUMERICAL_FAILURE)
-    return DesignSolution(TimbralVector(result.x[:n]), result.cost, status)
+    failure = DesignSolution(None, result.cost, DesignStatus.NUMERICAL_FAILURE)
+    try:
+        x = TimbralVector(result.x[: problem.n])
+    except ValueError:
+        return failure
+    p, b = problem.target, problem.bound
+    least, direct = closest_to_target_optimum(p, b), 2 * tv_distance(p, b)
+    to_p, to_b = 2 * tv_distance(x, p), 2 * tv_distance(x, b)
+    # the optimum, the slack below it, the objective at x, the bound on to_p
+    optimum, slack, attained, budget = {
+        Variant.CLOSEST_TO_TARGET: (least, 0.0, to_p, least),
+        Variant.BI_OBJECTIVE: (direct, 0.0, to_p + to_b, np.inf),
+        Variant.CLOSEST_TO_BOUND: (direct - least, STAGE_TWO_SLACK, to_b, least + STAGE_TWO_SLACK),
+    }[problem.variant]
+    tol = CERTIFICATE_TOL
+    if (
+        optimum - slack - tol <= result.cost <= optimum + tol
+        and attained <= optimum + tol
+        and to_p <= budget + tol
+        and not (suffix_profile(x) > suffix_profile(b) + tol).any()
+    ):
+        return DesignSolution(x, result.cost, status)
+    return failure
 
 
 def solve_design(problem: DesignProblem) -> DesignSolution:
@@ -137,18 +167,14 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     The reported objective is in raw l1 units (the summed split variables);
     halve it for total variation distance.  It is checked against 2D
     (:func:`closest_to_target_optimum`) or, bi-objective, ||p - b||_1 (the
-    triangle inequality, attained at x = b).  Closest-to-bound problems go to
-    :func:`solve_closest_to_bound`.  Solutions need not be unique; the
+    triangle inequality, attained at x = b), and so is the distance measured
+    from the returned point (:func:`_certified`).  Closest-to-bound problems
+    go to :func:`solve_closest_to_bound`.  Solutions need not be unique; the
     deterministic pivot rule fixes which vertex is returned.
     """
     if problem.variant is Variant.CLOSEST_TO_BOUND:
         return solve_closest_to_bound(problem)
-    p, b = problem.target, problem.bound
-    if problem.variant is Variant.BI_OBJECTIVE:
-        optimum = 2 * tv_distance(p, b)
-    else:
-        optimum = closest_to_target_optimum(p, b)
-    return _certified(problem.n, lp_solve(to_lp(problem)), optimum)
+    return _certified(problem, lp_solve(to_lp(problem)))
 
 
 def closest_to_target_optimum(target: TimbralVector, bound: TimbralVector) -> float:
@@ -182,18 +208,17 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     the triangle inequality bounds it below, and a feasible point between p
     and b coordinatewise at distance 2D from p attains it (its suffix profile
     is S(p) less the unimodal upper envelope of S(p) - S(b)).  An LP objective
-    outside that range is NUMERICAL_FAILURE.  The reported objective is the
-    distance to the target at the returned point.
+    outside that range is NUMERICAL_FAILURE, and so is a returned point that
+    breaks the budget or is farther from b than that optimum
+    (:func:`_certified`).  The reported objective is the distance to the
+    target at the returned point.
     """
     if problem.variant is not Variant.CLOSEST_TO_BOUND:
         raise ValueError("two-stage refinement applies to the closest-to-bound variant")
-    p, b = problem.target, problem.bound
-    optimum = closest_to_target_optimum(p, b)
-    direct = 2 * tv_distance(p, b)
-    stage_two = _certified(problem.n, lp_solve(to_lp(problem)), direct - optimum, STAGE_TWO_SLACK)
+    stage_two = _certified(problem, lp_solve(to_lp(problem)))
     if stage_two.x is None:
         return stage_two
-    return replace(stage_two, objective=2 * tv_distance(stage_two.x, p))
+    return replace(stage_two, objective=2 * tv_distance(stage_two.x, problem.target))
 
 
 def solution_no_brighter_than_target(problem: DesignProblem, solution: DesignSolution) -> bool:

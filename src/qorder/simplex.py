@@ -3,8 +3,11 @@
 ``LPStandardForm`` carries ``minimise c.v`` subject to ``A v <= u``,
 ``E v = d`` and ``v >= 0``.  The solver is a self-contained two-phase primal
 simplex on a dense tableau with Bland's anti-cycling rule, so termination is
-guaranteed.  The design LPs have 2n or 3n variables for n harmonics, so up to
-3072 at the 1024-harmonic cap, and the tableau is dense.
+guaranteed.  It starts from the slack basis: an inequality row whose
+right-hand side is nonnegative starts on its own slack, and only the other
+rows start on an artificial variable, so phase 1 drives out only those.  The
+design LPs have 2n or 3n variables for n harmonics, so up to 3072 at the
+1024-harmonic cap, and the tableau is dense.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class LPResult:
     status: LPStatus
 
 
-def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's tableau t and costs c.
+def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's tableau t, costs c and starting basis.
 
     The system is minimise c.v s.t. a v = b, v >= 0, b >= 0, with
     a = t[:-1, :-1] and b = t[:-1, -1]; the last row, which the kernel fills
@@ -81,6 +84,12 @@ def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray]:
     the original variables; rows with a negative right-hand side are negated.
     The system is written straight into the tableau, in place, so no second
     copy of it is ever held.
+
+    ``basis[i]`` is the slack column of inequality row i when that row was not
+    negated (its slack is then a unit column with a nonnegative value), and
+    otherwise the artificial index n + i, n being the column count of a.  So
+    negated rows, whose slack coefficient is -1, and equality rows start on an
+    artificial.  A right-hand side of -0.0 is not negated.
     """
     nv = lp.n_vars
     mu = lp.a_ub.shape[0]
@@ -93,10 +102,14 @@ def equality_form(lp: LPStandardForm) -> tuple[np.ndarray, np.ndarray]:
     b = t[:-1, -1]
     b[:mu] = lp.b_ub
     b[mu:] = lp.b_eq
-    t[:-1] *= np.where(b < 0, -1.0, 1.0)[:, None]
+    negated = b < 0
+    t[:-1] *= np.where(negated, -1.0, 1.0)[:, None]
     np.abs(b, out=b)
     c = np.concatenate([lp.objective, np.zeros(mu)])
-    return t, c
+    basis = nv + np.arange(mu + me)
+    basis[:mu][negated[:mu]] += mu
+    basis[mu:] += mu
+    return t, c, basis
 
 
 def iteration_budget(t: np.ndarray) -> int:
@@ -111,8 +124,8 @@ def lp_solve(lp: LPStandardForm) -> LPResult:
     of the same instance return the same vertex.
     """
     nv = lp.n_vars
-    t, c = equality_form(lp)
-    status, v = _kernels.simplex_solve(t, c, PIVOT_TOL, iteration_budget(t))
+    t, c, basis = equality_form(lp)
+    status, v = _kernels.simplex_solve(t, c, basis, PIVOT_TOL, iteration_budget(t))
     x = np.asarray(v[:nv], dtype=float)
     if status is LPStatus.OPTIMAL:
         cost = float(lp.objective @ x)

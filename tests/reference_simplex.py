@@ -12,15 +12,19 @@ from qorder._kernels import LPStatus
 
 
 def loop_equality_form(lp):
-    """(a, b, c) of ``qorder.simplex.equality_form``, one entry at a time: the
-    inequality rows with one slack column each, then the equality rows, each
-    row negated when its right-hand side is negative."""
+    """(a, b, c, basis) of ``qorder.simplex.equality_form``, one entry at a
+    time: the inequality rows with one slack column each, then the equality
+    rows, each row negated when its right-hand side is negative.  An
+    inequality row that was not negated starts on its slack; every other row
+    starts on its artificial, index nv + mu + i."""
     nv, mu, me = lp.n_vars, lp.a_ub.shape[0], lp.a_eq.shape[0]
     a = np.zeros((mu + me, nv + mu))
     b = np.zeros(mu + me)
+    basis = np.zeros(mu + me, np.int64)
     for i in range(mu + me):
         rhs = lp.b_ub[i] if i < mu else lp.b_eq[i - mu]
         sign = -1.0 if rhs < 0 else 1.0
+        basis[i] = nv + i if i < mu and sign > 0 else nv + mu + i
         for j in range(nv):
             a[i, j] = sign * (lp.a_ub[i, j] if i < mu else lp.a_eq[i - mu, j])
         for j in range(mu):
@@ -29,16 +33,18 @@ def loop_equality_form(lp):
     c = np.zeros(nv + mu)
     for j in range(nv):
         c[j] = lp.objective[j]
-    return a, b, c
+    return a, b, c, basis
 
 
-def loop_simplex_solve(a, b, c, tol, max_iter):
+def loop_simplex_solve(a, b, c, start, tol, max_iter):
     """Minimise c.v subject to a.v = b (b >= 0), v >= 0.
 
-    Slack/surplus columns must already be part of ``a``; one artificial
-    variable per row is appended here and driven out by the first phase.
-    Bland's rule (lowest eligible entering column; ratio ties broken by the
-    lowest basis variable) guarantees termination.  Returns (LPStatus, v).
+    Slack/surplus columns must already be part of ``a``.  Row i starts on
+    ``start[i]``: a unit column of ``a`` or the artificial n + i.  One
+    artificial column per artificial row is appended here, and the first
+    phase drives those rows out.  Bland's rule (lowest eligible entering
+    column; ratio ties broken by the lowest basis variable) guarantees
+    termination.  Returns (LPStatus, v).
     """
     m, n = a.shape
     width = n + m + 1
@@ -47,12 +53,14 @@ def loop_simplex_solve(a, b, c, tol, max_iter):
     for i in range(m):
         for j in range(n):
             t[i, j] = a[i, j]
-        t[i, n + i] = 1.0
+        basis[i] = start[i]
+        if basis[i] >= n:
+            t[i, n + i] = 1.0
         t[i, width - 1] = b[i]
-        basis[i] = n + i
     # phase-1 objective (sum of artificials) in reduced form
     for i in range(m):
-        t[m, :] -= t[i, :]
+        if basis[i] >= n:
+            t[m, :] -= t[i, :]
 
     iters = 0
     for phase in range(2):

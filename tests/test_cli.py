@@ -282,7 +282,12 @@ class TestErrorPaths:
         ('[1, {"a": 2}]', '{"a": 2}'),
         ("[1, NaN]", "NaN"),
         ('{"values": [Infinity, 1]}', "Infinity"),
-    ], ids=["nested", "null", "object", "nan", "infinity"])
+        ("[true, 2.5, 1]", "true"),
+        ('[1, "2.5", 1]', '"2.5"'),
+        ('[" 1e0 ", 2.5, 1]', '" 1e0 "'),
+        ("[1, 1" + "0" * 400 + "]", "1" + "0" * 400),
+    ], ids=["nested", "null", "object", "nan", "infinity", "boolean", "string",
+            "padded-string", "huge-integer"])
     def test_submajorize_non_number_exit_one(self, runner, tmp_path, values, shown):
         bad = tmp_path / "bad.json"
         bad.write_text(values)

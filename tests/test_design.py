@@ -295,6 +295,35 @@ class TestCertificate:
             # the rejected objective is kept for diagnosis
             assert sol.x is None and sol.objective == skewed_lp[-1]
 
+    # each point replaces the LP's own x, which keeps its true cost, on
+    # p = (0.1, 0.4, 0.1, 0.4) and b = (0.2, 0.2, 0.4, 0.2), where 2D = 0.4 and
+    # ||p - b||_1 = 0.8: the variants that the point solves, if any
+    @pytest.mark.parametrize("point, solves", [
+        ((0.1, 0.4, 0.1, 0.4), ()),  # the target itself: brighter than b
+        ((0.5, 0.5, 0.5, 0.5), ()),  # not a timbre
+        ((1.0, 0.0, 0.0, 0.0), ()),  # feasible, and far from both
+        ((0.3, 0.4, 0.1, 0.2), (Variant.CLOSEST_TO_TARGET,)),  # 0.6 from b
+        ((0.2, 0.2, 0.4, 0.2), (Variant.BI_OBJECTIVE,)),  # b: 0.8 from p
+    ], ids=["target", "not-a-timbre", "fundamental", "top-removal", "bound"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_returned_point_is_certified(self, monkeypatch, point, solves, variant):
+        prob = problem([0.1, 0.4, 0.1, 0.4], [0.2, 0.2, 0.4, 0.2], variant)
+        assert solve_design(prob).status is DesignStatus.OPTIMAL
+        solve = design.lp_solve
+
+        def swapped(lp, *args, **kwargs):
+            res = solve(lp, *args, **kwargs)
+            return LPResult(np.concatenate([point, res.x[4:]]), res.cost, res.status)
+
+        monkeypatch.setattr(design, "lp_solve", swapped)
+        sol = solve_design(prob)
+        if variant in solves:
+            assert sol.status is DesignStatus.OPTIMAL
+            assert sol.x.power.tolist() == list(point)
+        else:
+            assert sol.status is DesignStatus.NUMERICAL_FAILURE
+            assert sol.x is None
+
     def test_closest_to_bound_solves_one_lp(self, lp_calls):
         rng = np.random.default_rng(108)
         for n in (2, 3, 4, 16):

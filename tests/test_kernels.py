@@ -26,18 +26,20 @@ DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}
 
 def assert_same_solve(lp, tol=1e-9, max_iter=None):
     """Solve ``lp``'s tableau with the kernel and its system with the loop
-    oracle; the system is first checked against the loop-form builder."""
-    t, c = equality_form(lp)
-    a, b, ref_c = loop_equality_form(lp)
+    oracle; the system and its starting basis are first checked against the
+    loop-form builder."""
+    t, c, basis = equality_form(lp)
+    a, b, ref_c, ref_basis = loop_equality_form(lp)
     assert t[:-1, :-1].tobytes() == a.tobytes()
     assert t[:-1, -1].tobytes() == b.tobytes()
     assert c.tobytes() == ref_c.tobytes()
+    assert basis.tobytes() == ref_basis.tobytes()
     assert not t[-1].any()
     assert iteration_budget(t) == 200 + 50 * sum(a.shape)
     if max_iter is None:
         max_iter = iteration_budget(t)
-    status, v = _kernels.simplex_solve(t, c, tol, max_iter)
-    ref_status, ref_v = loop_simplex_solve(a, b, c, tol, max_iter)
+    status, v = _kernels.simplex_solve(t, c, basis, tol, max_iter)
+    ref_status, ref_v = loop_simplex_solve(a, b, c, ref_basis, tol, max_iter)
     assert status is ref_status
     assert v.tobytes() == ref_v.tobytes()
     return status
@@ -98,10 +100,39 @@ class TestSimplexMatchesLoopOracle:
         }
 
     def test_negative_zero_right_hand_side(self):
-        # -0.0 is not negated, but the kernel still sees +0.0
+        # -0.0 is not negated, so its slack starts basic, but the kernel
+        # still sees +0.0
         lp = LPStandardForm([1.0, -1.0], [[1.0, 1.0], [-1.0, 2.0]], [-0.0, 3.0],
                             np.zeros((0, 2)), [])
+        assert equality_form(lp)[2].tolist() == [2, 3]
         assert assert_same_solve(lp) is LPStatus.OPTIMAL
+
+    def test_start_basis_of_design_lp(self):
+        # slacks of the rows with a nonnegative right-hand side; artificials
+        # (index 2n + row) on the negated rows and the equality row
+        rng = np.random.default_rng(15)
+        n = 5
+        lp = design.to_lp(DesignProblem(TimbralVector(random_simplex(rng, n)),
+                                        TimbralVector(random_simplex(rng, n))))
+        mu = lp.a_ub.shape[0]
+        width = lp.n_vars + mu
+        rows = np.arange(mu + 1)
+        negated = np.append(lp.b_ub < 0, True)
+        expected = np.where(negated, width + rows, lp.n_vars + rows)
+        assert equality_form(lp)[2].tolist() == expected.tolist()
+        assert negated.sum() == n + 1
+
+    def test_every_row_starts_artificial(self):
+        # every right-hand side is negative, so phase 1 starts with no slack
+        # basic and must drive out every row
+        lp = LPStandardForm([1.0, 2.0, 0.5],
+                            [[-1.0, -1.0, 0.0], [0.0, -1.0, -2.0]], [-1.0, -0.5],
+                            [[-1.0, -1.0, -1.0]], [-3.0])
+        assert equality_form(lp)[2].tolist() == [5, 6, 7]
+        assert assert_same_solve(lp) is LPStatus.OPTIMAL
+        result = lp_solve(lp)
+        assert result.cost == pytest.approx(2.0)
+        assert result.x.tolist() == pytest.approx([1.0, 0.0, 2.0])
 
     def test_iteration_limit(self):
         rng = np.random.default_rng(13)
@@ -132,6 +163,32 @@ class TestSimplexMatchesLoopOracle:
         assert peak <= 1.5 * tableau_bytes
         # one block of the pivot update and its product, and small vectors
         assert peak <= tableau_bytes + 3 * _kernels._PIVOT_BLOCK_BYTES
+
+
+# pivots per solve of one n = 64 instance, at the slack start basis; an
+# all-artificial start took 369, 491 and 958
+PIVOTS_N64 = {
+    Variant.CLOSEST_TO_TARGET: 130,
+    Variant.BI_OBJECTIVE: 228,
+    Variant.CLOSEST_TO_BOUND: 279,
+}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_pivot_count_n64(monkeypatch, variant):
+    rng = np.random.default_rng(64)
+    problem = DesignProblem(TimbralVector(random_simplex(rng, 64)),
+                            TimbralVector(random_simplex(rng, 64)), variant)
+    pivots = []
+    pivot = _kernels._pivot
+
+    def count(*args):
+        pivots.append(args[1:3])
+        return pivot(*args)
+
+    monkeypatch.setattr(_kernels, "_pivot", count)
+    assert design.solve_design(problem).status is design.DesignStatus.OPTIMAL
+    assert len(pivots) <= PIVOTS_N64[variant]
 
 
 def rotation_minimum(mask, n):
