@@ -186,22 +186,14 @@ def timbre_design(target_path: str, bound_path: str, variant: str, out_path: str
     target, bound = _load_vectors([target_path, bound_path])
     problem = design_mod.DesignProblem(target, bound, design_mod.Variant(variant))
     solution = design_mod.solve_design(problem)
-    if solution.status is design_mod.DesignStatus.OPTIMAL:
-        payload = {
-            "x": [float(v) for v in solution.x.power],
-            "objective": solution.objective,
-            "tv_distance": solution.objective / 2.0,
-            "x_leq_p": design_mod.solution_no_brighter_than_target(problem, solution),
-            "status": solution.status.value,
-        }
-    else:
-        payload = {
-            "x": None,
-            "objective": None,
-            "tv_distance": None,
-            "x_leq_p": None,
-            "status": solution.status.value,
-        }
+    optimal = solution.x is not None
+    payload = {
+        "x": [float(v) for v in solution.x.power] if optimal else None,
+        "objective": solution.objective if optimal else None,
+        "tv_distance": solution.objective / 2.0 if optimal else None,
+        "x_leq_p": design_mod.solution_no_brighter_than_target(problem, solution) if optimal else None,
+        "status": solution.status.value,
+    }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")

@@ -6,12 +6,17 @@ that is closest to b among the points closest to p.  Each problem becomes one
 linear program by the usual absolute-value split;
 simplex membership (sum 1, nonnegativity) is part of the constraint set so
 that the solution is itself a timbre.
+
+No design problem is infeasible or unbounded: x = b, or for closest-to-bound
+the closed-form point at distance 2D from p, is feasible, and each objective
+sums nonnegative variables.  So a solve fails only numerically, and a
+solution is optimal exactly when it carries a point.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +50,7 @@ class Variant(enum.Enum):
 
 class DesignStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-_DESIGN_STATUS = {
-    LPStatus.OPTIMAL: DesignStatus.OPTIMAL,
-    LPStatus.INFEASIBLE: DesignStatus.INFEASIBLE,
-    LPStatus.UNBOUNDED: DesignStatus.NUMERICAL_FAILURE,
-    LPStatus.ITERATION_LIMIT: DesignStatus.NUMERICAL_FAILURE,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +71,10 @@ class DesignProblem:
 class DesignSolution:
     x: TimbralVector | None
     objective: float
-    status: DesignStatus
+
+    @property
+    def status(self) -> DesignStatus:
+        return DesignStatus.NUMERICAL_FAILURE if self.x is None else DesignStatus.OPTIMAL
 
 
 def to_lp(problem: DesignProblem) -> LPStandardForm:
@@ -124,31 +123,31 @@ def _certified(problem: DesignProblem, result: LPResult) -> DesignSolution:
 
     Each variant's optimum is proved in closed form (:func:`solve_design`,
     :func:`solve_closest_to_bound`); the closest-to-bound LP may undercut it
-    by its slack.  The answer is a numerical failure, which keeps the
-    rejected objective and no point, unless within ``CERTIFICATE_TOL`` the
-    objective lies in that range, and the point x is a timbre no brighter
-    than the bound, S(x) <= S(b), whose own objective attains the optimum:
-    ||x - p||_1 for closest-to-target, ||x - p||_1 + ||x - b||_1 for
-    bi-objective, and ||x - b||_1 within the budget ||x - p||_1 <= 2D +
-    STAGE_TWO_SLACK for closest-to-bound.  A feasible point that attains a
-    proved lower bound is optimal, whatever the simplex did.
+    by its slack.  An LP short of optimal gives no point and a NaN objective.
+    Any other answer is a numerical failure, which keeps the rejected LP
+    objective and no point, unless within ``CERTIFICATE_TOL`` that objective
+    lies in that range, and the point x is a timbre no brighter than the
+    bound, S(x) <= S(b), whose own objective attains the optimum: ||x - p||_1
+    for closest-to-target, ||x - p||_1 + ||x - b||_1 for bi-objective, and
+    ||x - b||_1 within the budget ||x - p||_1 <= 2D + STAGE_TWO_SLACK for
+    closest-to-bound.  A feasible point that attains a proved lower bound is
+    optimal, whatever the simplex did.  The LP objective is reported, or
+    ||x - p||_1 for closest-to-bound.
     """
-    status = _DESIGN_STATUS[result.status]
-    if status is not DesignStatus.OPTIMAL:
-        return DesignSolution(None, float("nan"), status)
-    failure = DesignSolution(None, result.cost, DesignStatus.NUMERICAL_FAILURE)
+    if result.status is not LPStatus.OPTIMAL:
+        return DesignSolution(None, float("nan"))
     try:
         x = TimbralVector(result.x[: problem.n])
     except ValueError:
-        return failure
+        return DesignSolution(None, result.cost)
     p, b = problem.target, problem.bound
     least, direct = closest_to_target_optimum(p, b), 2 * tv_distance(p, b)
     to_p, to_b = 2 * tv_distance(x, p), 2 * tv_distance(x, b)
-    # the optimum, the slack below it, the objective at x, the bound on to_p
-    optimum, slack, attained, budget = {
-        Variant.CLOSEST_TO_TARGET: (least, 0.0, to_p, least),
-        Variant.BI_OBJECTIVE: (direct, 0.0, to_p + to_b, np.inf),
-        Variant.CLOSEST_TO_BOUND: (direct - least, STAGE_TWO_SLACK, to_b, least + STAGE_TWO_SLACK),
+    # the optimum, the slack below it, the objective at x, the bound on to_p, the reported objective
+    optimum, slack, attained, budget, reported = {
+        Variant.CLOSEST_TO_TARGET: (least, 0.0, to_p, least, result.cost),
+        Variant.BI_OBJECTIVE: (direct, 0.0, to_p + to_b, np.inf, result.cost),
+        Variant.CLOSEST_TO_BOUND: (direct - least, STAGE_TWO_SLACK, to_b, least + STAGE_TWO_SLACK, to_p),
     }[problem.variant]
     tol = CERTIFICATE_TOL
     if (
@@ -157,8 +156,8 @@ def _certified(problem: DesignProblem, result: LPResult) -> DesignSolution:
         and to_p <= budget + tol
         and not (suffix_profile(x) > suffix_profile(b) + tol).any()
     ):
-        return DesignSolution(x, result.cost, status)
-    return failure
+        return DesignSolution(x, reported)
+    return DesignSolution(None, result.cost)
 
 
 def solve_design(problem: DesignProblem) -> DesignSolution:
@@ -208,23 +207,20 @@ def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
     the triangle inequality bounds it below, and a feasible point between p
     and b coordinatewise at distance 2D from p attains it (its suffix profile
     is S(p) less the unimodal upper envelope of S(p) - S(b)).  An LP objective
-    outside that range is NUMERICAL_FAILURE, and so is a returned point that
+    outside that range is a numerical failure, and so is a returned point that
     breaks the budget or is farther from b than that optimum
     (:func:`_certified`).  The reported objective is the distance to the
     target at the returned point.
     """
     if problem.variant is not Variant.CLOSEST_TO_BOUND:
         raise ValueError("two-stage refinement applies to the closest-to-bound variant")
-    stage_two = _certified(problem, lp_solve(to_lp(problem)))
-    if stage_two.x is None:
-        return stage_two
-    return replace(stage_two, objective=2 * tv_distance(stage_two.x, problem.target))
+    return _certified(problem, lp_solve(to_lp(problem)))
 
 
 def solution_no_brighter_than_target(problem: DesignProblem, solution: DesignSolution) -> bool:
     """Whether the solution sits at or below the target in the brightness order,
     within ``NO_BRIGHTER_TOL``."""
-    if solution.status is not DesignStatus.OPTIMAL or solution.x is None:
+    if solution.x is None:
         raise ValueError("check applies to optimal solutions only")
     verdict = brightness_compare(solution.x, problem.target, NO_BRIGHTER_TOL)
     return verdict in (Comparison.LESS, Comparison.EQUAL)
@@ -241,13 +237,16 @@ class SearchReport:
     trials: int
     seed: int
     gap_tol: float
-    found: bool
     trial_index: int | None = None
     target: np.ndarray | None = None
     bound: np.ndarray | None = None
     infimum_point: np.ndarray | None = None
     objective_at_infimum: float | None = None
     lp_objective: float | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.trial_index is not None
 
     @property
     def gap(self) -> float | None:
@@ -274,7 +273,7 @@ def counterexample_search(
     :func:`closest_to_target_optimum`, with no vector built.  A hit builds the
     vectors and the infimum, and is certified by one ``solve_design``, whose
     objective is reported and which checks itself against the same closed
-    form; a status other than OPTIMAL raises RuntimeError.  Stops at the first
+    form; a solution without a point raises RuntimeError.  Stops at the first
     hit; reports not-found when the budget runs out, which is inconclusive
     rather than a refutation.  ``n``, ``trials`` and ``seed`` are integers,
     or integral floats such as 4.0.
@@ -305,7 +304,7 @@ def counterexample_search(
         tp, tb = TimbralVector(p), TimbralVector(b)
         z = infimum(tb, tp)
         solution = solve_design(DesignProblem(tp, tb))
-        if solution.status is not DesignStatus.OPTIMAL:
+        if solution.x is None:
             raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value} "
                                f"objective {solution.objective!r}, the closed form {optimum!r}")
         return SearchReport(
@@ -313,7 +312,6 @@ def counterexample_search(
             trials=trials,
             seed=seed,
             gap_tol=gap_tol,
-            found=True,
             trial_index=trial,
             target=tp.power,
             bound=tb.power,
@@ -321,4 +319,4 @@ def counterexample_search(
             objective_at_infimum=objective_z,
             lp_objective=solution.objective,
         )
-    return SearchReport(n=n, trials=trials, seed=seed, gap_tol=gap_tol, found=False)
+    return SearchReport(n=n, trials=trials, seed=seed, gap_tol=gap_tol)

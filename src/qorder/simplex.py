@@ -121,15 +121,11 @@ def lp_solve(lp: LPStandardForm) -> LPResult:
     """Solve to an optimal basic feasible solution.
 
     Deterministic: Bland's rule fixes the pivot sequence, so repeated solves
-    of the same instance return the same vertex.
+    of the same instance return the same vertex.  A solve that stops short of
+    optimal returns the kernel's zero vector with a NaN cost.
     """
-    nv = lp.n_vars
     t, c, basis = equality_form(lp)
     status, v = _kernels.simplex_solve(t, c, basis, PIVOT_TOL, iteration_budget(t))
-    x = np.asarray(v[:nv], dtype=float)
-    if status is LPStatus.OPTIMAL:
-        cost = float(lp.objective @ x)
-    else:
-        x = np.zeros(nv)
-        cost = float("nan")
+    x = v[: lp.n_vars]
+    cost = float(lp.objective @ x) if status is LPStatus.OPTIMAL else float("nan")
     return LPResult(x, cost, status)

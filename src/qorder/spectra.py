@@ -1,10 +1,12 @@
 """Ingestion of tabulated harmonic power spectra and export plumbing.
 
-CSV format: one ``harmonic_index,power`` row per harmonic, 1-based indices,
-optional header row, ``#`` comment lines allowed.  Harmonics missing from the
-file below the largest listed index are read as zero power; nothing is padded
-above it unless ``normalize`` is asked to.  Spectra hold at most
-``MAX_HARMONICS`` harmonics, read or padded.
+CSV format: UTF-8 text, with or without a byte-order mark; one
+``harmonic_index,power`` row per harmonic, 1-based indices, ``#`` comment
+lines allowed.  The first other row is a header, and skipped, when neither of
+its fields is a number.  Harmonics missing from the file below the largest
+listed index are read as zero power; nothing is padded above it unless
+``normalize`` is asked to.  Spectra hold at most ``MAX_HARMONICS`` harmonics,
+read or padded.
 """
 
 from __future__ import annotations
@@ -52,12 +54,23 @@ class RawSpectrum:
         object.__setattr__(self, "powers", arr)
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def load_spectrum(path: str | Path) -> RawSpectrum:
     """Parse a spectrum CSV, named by its file stem; errors name the offending line."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path}: not UTF-8 text: {exc}") from None
     entries: dict[int, float] = {}
-    header_allowed = True
+    first = True
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -65,15 +78,14 @@ def load_spectrum(path: str | Path) -> RawSpectrum:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise SpectrumFormatError(f"{path}:{lineno}: expected 'index,power', got {line!r}")
+        header, first = first and not any(map(_is_number, fields)), False
+        if header:
+            continue
         try:
             index = int(fields[0])
             power = float(fields[1])
         except ValueError:
-            if header_allowed:
-                header_allowed = False
-                continue
             raise SpectrumFormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-        header_allowed = False
         if not 1 <= index <= MAX_HARMONICS:
             raise SpectrumFormatError(
                 f"{path}:{lineno}: harmonic index {index} outside 1..{MAX_HARMONICS}"
@@ -94,9 +106,10 @@ def load_spectrum(path: str | Path) -> RawSpectrum:
 
 def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:
     """Scale total power to one; optionally zero-pad the high-harmonic end."""
-    total = float(raw.powers.sum())
-    if total <= 0.0:
-        raise ValueError(f"spectrum {raw.name!r} has zero total power")
+    with np.errstate(over="ignore"):
+        total = float(raw.powers.sum())
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"spectrum {raw.name!r} has {'zero' if total == 0.0 else 'non-finite'} total power")
     powers = raw.powers / total
     if pad_to is not None:
         pad_to = _integer(pad_to, "pad_to must be an integer")

@@ -7,7 +7,7 @@ constraint rows of the LP written one entry at a time.
 
 import numpy as np
 
-from qorder.design import DesignProblem, DesignSolution, DesignStatus, Variant
+from qorder.design import DesignProblem, DesignSolution, Variant
 from qorder.timbre import TimbralVector, suffix_profile
 
 
@@ -37,7 +37,7 @@ def grid_solve(problem: DesignProblem, resolution: float) -> DesignSolution:
     if problem.variant is Variant.BI_OBJECTIVE:
         cost = cost + np.abs(points - problem.bound.power).sum(axis=1)
     best = int(np.argmin(cost))
-    return DesignSolution(TimbralVector(points[best]), float(cost[best]), DesignStatus.OPTIMAL)
+    return DesignSolution(TimbralVector(points[best]), float(cost[best]))
 
 
 def abs_split_rows(n: int, n_vars: int, x_at: int, aux_at: int) -> np.ndarray:

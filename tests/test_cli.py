@@ -1,15 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qorder
-from qorder import setclass
+from qorder import design, setclass
 from qorder.cli import main
+from qorder.simplex import LPResult, LPStatus
 from qorder.spectra import fixture_dir
 
 DATA = Path(__file__).parent / "data"
@@ -134,6 +137,22 @@ class TestTimbreCommands:
         assert payload["tv_distance"] == pytest.approx(0.4, abs=1e-9)
         assert payload["x_leq_p"] is True
 
+    @pytest.mark.parametrize("variant", [v.value for v in design.Variant])
+    def test_design_numerical_failure_payload(self, runner, monkeypatch, variant):
+        monkeypatch.setattr(design, "lp_solve",
+                            lambda lp: LPResult(np.zeros(lp.n_vars), math.nan, LPStatus.INFEASIBLE))
+        output = run_ok(runner, ["timbre", "design", "--target", str(DATA / "target3.csv"),
+                                 "--bound", str(DATA / "bound3.csv"), "--variant", variant])
+        assert json.loads(output) == {
+            "status": "numerical_failure", "x": None, "objective": None, "tv_distance": None, "x_leq_p": None,
+        }
+
+    def test_compare_reads_byte_order_marked_file(self, runner, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("1,0.5\n2,0.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf1,0.5\n2,0.5\n")
+        assert run_ok(runner, ["timbre", "compare", str(marked), str(plain)]) == "Equal\n"
+
     @pytest.mark.parametrize("command", ["compare", "hasse", "design"])
     def test_spectra_padded_to_longest(self, runner, tmp_path, command):
         # a 2- and a 3-harmonic spectrum answer as if the first listed "3,0"
@@ -199,6 +218,20 @@ class TestErrorPaths:
         result = runner.invoke(main, ["timbre", "compare", str(huge), str(huge)])
         assert result.exit_code == 1
         assert f"error: {huge}:2: harmonic index" in result.output
+
+    def test_unparsable_first_row_exit_one(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,abc\n2,0.5\n")
+        result = runner.invoke(main, ["timbre", "compare", str(bad), str(bad)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bad}:1: non-numeric field in '1,abc'\n"
+
+    def test_overflowing_total_power_exit_one(self, runner, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1,1e308\n2,1e308\n")
+        result = runner.invoke(main, ["timbre", "compare", str(huge), str(huge)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: spectrum 'huge' has non-finite total power\n"
 
     def test_family_above_order_limit_exit_one(self, runner, monkeypatch):
         # edo 12, steps up to 12: 351 nonempty classes
@@ -309,6 +342,21 @@ class TestErrorPaths:
     def test_missing_file_exit_two(self, runner):
         result = runner.invoke(main, ["timbre", "compare", "nope.csv", "also-nope.csv"])
         assert result.exit_code == 2
+
+
+def test_spectrum_encoding_ignores_locale(tmp_path):
+    # under the C locale, with UTF-8 mode off, the default text encoding is ASCII
+    package_root = str(Path(qorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}
+    accented, latin1 = tmp_path / "accented.csv", tmp_path / "latin1.csv"
+    accented.write_bytes("# caf\u00e9\n1,0.5\n2,0.5\n".encode())
+    latin1.write_bytes("# caf\u00e9\n1,0.5\n2,0.5\n".encode("latin-1"))
+    procs = [subprocess.run([sys.executable, "-m", "qorder", "timbre", "compare", str(f), str(accented)],
+                            capture_output=True, text=True, env=env) for f in (accented, latin1)]
+    assert (procs[0].returncode, procs[0].stdout, procs[0].stderr) == (0, "Equal\n", "")
+    assert procs[1].returncode == 1
+    assert procs[1].stderr.startswith(f"error: {latin1}: not UTF-8 text: ")
 
 
 def test_module_entry_point():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from qorder.design import (
     to_lp,
 )
 from qorder.orders import Comparison
-from qorder.simplex import LPResult
+from qorder.simplex import LPResult, LPStatus
 from qorder.spectra import MAX_HARMONICS
 from qorder.timbre import (
     TimbralVector,
@@ -346,6 +348,17 @@ class TestCertificate:
                 assert sol.status is DesignStatus.OPTIMAL
                 assert abs(sol.objective - optimum) <= 1e-8
 
+    # no design LP is infeasible or unbounded, so every LP status short of
+    # optimal is a numerical failure
+    @pytest.mark.parametrize("status", [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED, LPStatus.ITERATION_LIMIT],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_lp_short_of_optimal_is_numerical_failure(self, monkeypatch, status, variant):
+        monkeypatch.setattr(design, "lp_solve", lambda lp: LPResult(np.zeros(lp.n_vars), math.nan, status))
+        sol = solve_design(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2], variant))
+        assert sol.status is DesignStatus.NUMERICAL_FAILURE
+        assert sol.x is None and math.isnan(sol.objective)
+
 
 class TestOracle:
     def test_target_equal_bound(self):
@@ -404,9 +417,27 @@ class TestTargetDominanceClaims:
     def test_guard_on_non_optimal(self):
         prob = problem([0.5, 0.5], [0.5, 0.5])
         bad = solve_design(prob)
-        object.__setattr__(bad, "status", DesignStatus.NUMERICAL_FAILURE)
+        object.__setattr__(bad, "x", None)
         with pytest.raises(ValueError, match="optimal"):
             solution_no_brighter_than_target(prob, bad)
+
+
+class TestAnswerStructure:
+    """A design answer is its point, and a search report its hit's index."""
+
+    def test_design_solution_is_point_and_objective(self):
+        assert tuple(f.name for f in dataclasses.fields(DesignSolution)) == ("x", "objective")
+        assert [s.value for s in DesignStatus] == ["optimal", "numerical_failure"]
+        assert DesignSolution(None, 0.5).status is DesignStatus.NUMERICAL_FAILURE
+        assert DesignSolution(tv(1.0, 0.0), 0.5).status is DesignStatus.OPTIMAL
+
+    def test_search_report_found_is_its_trial_index(self):
+        assert "found" not in {f.name for f in dataclasses.fields(design.SearchReport)}
+        hit, miss = counterexample_search(4, 100, seed=0), counterexample_search(3, 20, seed=0)
+        for report in (hit, miss):
+            assert report.found == (report.trial_index is not None)
+        assert hit.found and hit.trial_index == 18 and hit.gap > 0
+        assert not miss.found and miss.gap is None
 
 
 class TestCounterexampleSearch:
@@ -535,8 +566,7 @@ class TestCounterexampleSearch:
     # a wrong LP objective fails solve_design's own certificate, and so the hit
     @pytest.mark.parametrize("name, certificate, objective", [
         ("lp_solve", lambda res: LPResult(res.x, res.cost + 1e-6, res.status), r"0\.6844856\d*"),
-        ("solve_design", lambda sol: DesignSolution(None, float("nan"), DesignStatus.NUMERICAL_FAILURE),
-         "nan"),
+        ("solve_design", lambda sol: DesignSolution(None, float("nan")), "nan"),
     ], ids=["wrong-objective", "not-optimal"])
     def test_certificate_disagreement_raises(self, monkeypatch, name, certificate, objective):
         solve = getattr(design, name)

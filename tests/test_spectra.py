@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,23 @@ class TestLoadSpectrum:
     def test_header_and_comments(self, tmp_path):
         raw = load_spectrum(write(tmp_path, "# comment\nharmonic_index,power\n1,1.0\n\n2,3.0\n"))
         assert np.allclose(raw.powers, [1.0, 3.0])
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_bytes("\ufeff1,0.5\n2,0.5\n".encode())
+        assert load_spectrum(path).powers.tolist() == [0.5, 0.5]
+
+    # a first row is a header only when neither field is a number
+    @pytest.mark.parametrize("first", ["1,abc", "index,0.5", "1.5,x", "nan,power"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, first):
+        with pytest.raises(SpectrumFormatError, match=r"spec\.csv:2: non-numeric field"):
+            load_spectrum(write(tmp_path, f"# comment\n{first}\n2,0.5\n"))
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_bytes("# caf\u00e9\n1,0.5\n".encode("latin-1"))
+        with pytest.raises(SpectrumFormatError, match=r"spec\.csv: not UTF-8 text: .*0xe9"):
+            load_spectrum(path)
 
     def test_interior_gap_reads_as_zero(self, tmp_path):
         raw = load_spectrum(write(tmp_path, "1,1.0\n3,1.0\n"))
@@ -96,6 +115,18 @@ class TestNormalize:
         raw = RawSpectrum("x", np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="zero total power"):
             normalize(raw)
+
+    def test_overflowing_total_rejected(self):
+        raw = RawSpectrum("loud", np.array([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spectrum 'loud' has non-finite total power"):
+                normalize(raw)
+
+    def test_largest_finite_total_divided(self):
+        raw = RawSpectrum("x", np.array([1e308, 7e307]))
+        total = 1e308 + 7e307
+        assert normalize(raw).power.tolist() == [1e308 / total, 7e307 / total]
 
     def test_idempotent(self):
         raw = RawSpectrum("x", np.array([0.5, 0.25, 0.25]))
