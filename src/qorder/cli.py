@@ -25,8 +25,20 @@ _FORMAT = click.option(
 )
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current standard output, or standard error.
+
+    The stream is resolved on each call, as click does without ``file=``
+    (an ASCII-configured stream is rewrapped as UTF-8), but not through
+    click's cache: that cache is keyed weakly on the stream with the stream
+    itself as the value, so it would keep every stream an in-process caller
+    redirected to alive until exit.
+    """
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout", errors=None))
+
+
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    _echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _domain_errors(func):
@@ -35,7 +47,7 @@ def _domain_errors(func):
         try:
             return func(*args, **kwargs)
         except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -71,7 +83,7 @@ def setclass_minimal(edo: int, max_second: int, fmt: str) -> None:
         })
     else:
         for cls in classes:
-            click.echo(str(cls))
+            _echo(str(cls))
 
 
 @setclass_group.command("count")
@@ -85,8 +97,8 @@ def setclass_count(edo: int, fmt: str) -> None:
     if fmt == "json":
         _echo_json({"edo": edo, "count": count, "burnside": check, "match": count == check})
     else:
-        click.echo(f"set classes: {count}")
-        click.echo(f"burnside: {check}")
+        _echo(f"set classes: {count}")
+        _echo(f"burnside: {check}")
 
 
 @setclass_group.command("check-prop1")
@@ -101,7 +113,7 @@ def setclass_check_prop1(edo: int, max_second: int, fmt: str) -> None:
     if fmt == "json":
         _echo_json({"edo": edo, "max_second": max_second, "holds": holds})
     else:
-        click.echo(f"holds: {str(holds).lower()}")
+        _echo(f"holds: {str(holds).lower()}")
 
 
 # -- timbre -------------------------------------------------------------------
@@ -134,7 +146,7 @@ def timbre_compare(spectrum_a: str, spectrum_b: str, tol: float, fmt: str) -> No
     if fmt == "json":
         _echo_json({"a": a.name, "b": b.name, "verdict": verdict.value})
     else:
-        click.echo(verdict.value)
+        _echo(verdict.value)
 
 
 @timbre_group.command("hasse")
@@ -165,12 +177,12 @@ def timbre_hasse(directory: str, dot_path: str | None, tol: float, fmt: str) -> 
             "near_equal": [list(pair) for pair in diagram.near_equal],
         })
     else:
-        click.echo("maximal: " + ", ".join(diagram.maximal))
-        click.echo("minimal: " + ", ".join(diagram.minimal))
+        _echo("maximal: " + ", ".join(diagram.maximal))
+        _echo("minimal: " + ", ".join(diagram.minimal))
         for src, dst in edges:
-            click.echo(f"{src} -> {dst}")
+            _echo(f"{src} -> {dst}")
         if dot_path is not None:
-            click.echo(f"wrote {dot_path}")
+            _echo(f"wrote {dot_path}")
 
 
 @timbre_group.command("design")
@@ -197,7 +209,7 @@ def timbre_design(target_path: str, bound_path: str, variant: str, out_path: str
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path is not None:
         Path(out_path).write_text(text + "\n")
-    click.echo(text)
+    _echo(text)
 
 
 @timbre_group.command("counterexample")
@@ -232,12 +244,12 @@ def timbre_counterexample(n: int, trials: int, seed: int, gap_tol: float, fmt: s
     if fmt == "json":
         _echo_json(payload)
     elif report.found:
-        click.echo(f"found at trial {report.trial_index} (seed {report.seed}): "
-                   f"gap {report.gap:.6g}")
-        click.echo(f"target: {list(map(float, report.target))}")
-        click.echo(f"bound: {list(map(float, report.bound))}")
+        _echo(f"found at trial {report.trial_index} (seed {report.seed}): "
+              f"gap {report.gap:.6g}")
+        _echo(f"target: {list(map(float, report.target))}")
+        _echo(f"bound: {list(map(float, report.bound))}")
     else:
-        click.echo(f"not found in {report.trials} trials (seed {report.seed}); inconclusive")
+        _echo(f"not found in {report.trials} trials (seed {report.seed}); inconclusive")
 
 
 # -- order --------------------------------------------------------------------
@@ -280,12 +292,12 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
             "diagnostics": diagnostics,
         })
     else:
-        click.echo("orbits: " + " ".join("{" + ",".join(map(str, o)) + "}" for o in strong.orbits))
-        click.echo(f"increasing: {str(props.increasing).lower()}")
-        click.echo(f"transverse: {str(props.transverse).lower()}")
+        _echo("orbits: " + " ".join("{" + ",".join(map(str, o)) + "}" for o in strong.orbits))
+        _echo(f"increasing: {str(props.increasing).lower()}")
+        _echo(f"transverse: {str(props.transverse).lower()}")
         axioms = dataclasses.asdict(strong_axioms).items()
-        click.echo("strong axioms: " + " ".join(f"{k}={str(v).lower()}" for k, v in axioms))
-        click.echo(f"strong equals weak: {str(same).lower()}")
+        _echo("strong axioms: " + " ".join(f"{k}={str(v).lower()}" for k, v in axioms))
+        _echo(f"strong equals weak: {str(same).lower()}")
 
 
 # -- submajorize ----------------------------------------------------------------
@@ -324,7 +336,7 @@ def submajorize_cmd(multiset_a: str, multiset_b: str, tol: float, fmt: str) -> N
     if fmt == "json":
         _echo_json({"verdict": verdict.value})
     else:
-        click.echo(verdict.value)
+        _echo(verdict.value)
 
 
 if __name__ == "__main__":  # pragma: no cover

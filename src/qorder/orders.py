@@ -46,19 +46,23 @@ def check_tolerance(tol: float, name: str) -> None:
 
 
 def componentwise_verdict(
-    u: np.ndarray, v: np.ndarray, image: Callable[[np.ndarray], np.ndarray], tol: float
+    u: np.ndarray,
+    v: np.ndarray,
+    images: Callable[[], tuple[np.ndarray, np.ndarray]],
+    tol: float,
 ) -> Comparison:
-    """Compare ``u`` and ``v`` by the component-wise order on ``image(u)`` and
-    ``image(v)``, within ``tol``.
+    """Compare ``u`` and ``v`` by the component-wise order on their images,
+    the pair that ``images()`` returns, within ``tol``.
 
     EQUAL is decided first, on the raw vectors: every component within
-    ``tol``.  Otherwise both image directions holding within tolerance is
-    EQUAL too.  ``tol`` must pass :func:`check_tolerance`.
+    ``tol``; only otherwise are the images asked for.  Then both image
+    directions holding within tolerance is EQUAL too.  ``tol`` must pass
+    :func:`check_tolerance`.
     """
     check_tolerance(tol, "tol")
     if (np.abs(u - v) <= tol).all():
         return Comparison.EQUAL
-    u, v = image(u), image(v)
+    u, v = images()
     le = bool((u <= v + tol).all())
     ge = bool((v <= u + tol).all())
     if le and ge:
@@ -362,7 +366,7 @@ def submajorize_compare(
         raise ValueError(f"size mismatch: {left.size} vs {right.size}")
     if left.size == 0:
         raise ValueError("multisets must be nonempty")
-    return componentwise_verdict(left, right, np.cumsum, tol)
+    return componentwise_verdict(left, right, lambda: (np.cumsum(left), np.cumsum(right)), tol)
 
 
 # JSON wire formats ---------------------------------------------------------

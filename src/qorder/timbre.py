@@ -10,6 +10,7 @@ component-wise minimum of the two suffix profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +60,19 @@ class TimbralVector:
     def n(self) -> int:
         return int(self.power.size)
 
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """The read-only suffix profile, computed on first use: entry i-1 is
+        the power in the top i harmonics."""
+        profile = np.cumsum(self.power[::-1])
+        profile.setflags(write=False)
+        return profile
+
 
 def suffix_profile(vector: TimbralVector) -> np.ndarray:
-    """Cumulative power from the top: entry i-1 is the power in the top i harmonics."""
-    return np.cumsum(vector.power[::-1])
+    """Cumulative power from the top: the timbre's own read-only
+    :attr:`TimbralVector.profile`."""
+    return vector.profile
 
 
 def brightness_matrix(n: int) -> np.ndarray:
@@ -84,8 +94,7 @@ def brightness_compare(
     is at most that of ``b`` within ``tol``.  Equality is decided first, on
     the raw vectors."""
     _check_same_n(a, b)
-    # suffix profiles are the running sums of the reversed powers
-    return componentwise_verdict(a.power[::-1], b.power[::-1], np.cumsum, tol)
+    return componentwise_verdict(a.power, b.power, lambda: (a.profile, b.profile), tol)
 
 
 def h_compare(
@@ -102,7 +111,9 @@ def h_compare(
         raise ValueError("H must be nonnegative")
     if np.linalg.matrix_rank(matrix) < a.n:
         raise ValueError("H must be nonsingular")
-    return componentwise_verdict(a.power, b.power, matrix.__matmul__, tol)
+    return componentwise_verdict(
+        a.power, b.power, lambda: (matrix @ a.power, matrix @ b.power), tol
+    )
 
 
 def infimum(x: TimbralVector, y: TimbralVector) -> TimbralVector:

@@ -1,8 +1,12 @@
+import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +361,24 @@ def test_spectrum_encoding_ignores_locale(tmp_path):
     assert (procs[0].returncode, procs[0].stdout, procs[0].stderr) == (0, "Equal\n", "")
     assert procs[1].returncode == 1
     assert procs[1].stderr.startswith(f"error: {latin1}: not UTF-8 text: ")
+
+
+def test_in_process_calls_keep_no_redirected_stream(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,abc\n2,0.5\n")
+    calls = [(["setclass", "count", "--edo", "5"], 0, "set classes: 8"),
+             (["timbre", "compare", str(bad), str(bad)], 1, "error: ")]
+    streams = []
+    for args, code, prefix in calls * 3:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            main.main(args=args, prog_name="qorder")
+        assert exit_info.value.code == code
+        assert (err if code else out).getvalue().startswith(prefix)
+        streams += [weakref.ref(out), weakref.ref(err)]
+        del out, err, exit_info
+    gc.collect()
+    assert [ref() for ref in streams] == [None] * len(streams)
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +464,12 @@ class TestSubmajorize:
     def test_rejects_infinite_tol(self):
         with pytest.raises(ValueError, match="tol must be finite, got inf"):
             submajorize_compare([1, 2], [1, 2], float("inf"))
+
+    def test_equal_inputs_take_no_prefix_sums(self):
+        # the prefix sums of these would overflow with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert submajorize_compare([1e308, 1e308], [1e308, 1e308]) is Comparison.EQUAL
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorder.orders import Comparison
 from qorder.timbre import (
@@ -18,6 +20,39 @@ from structures import brighten, random_simplex, tv_subset_oracle
 
 def tv(*power, name=None):
     return TimbralVector(np.asarray(power, dtype=float), name)
+
+
+def recomputed_brightness_compare(a, b, tol):
+    """The brightness verdict with both suffix profiles computed afresh: the
+    running sums of the reversed powers, compared component-wise within
+    ``tol`` once the raw vectors differ by more than ``tol`` somewhere."""
+    u, v = a.power[::-1], b.power[::-1]
+    if (np.abs(u - v) <= tol).all():
+        return Comparison.EQUAL
+    u, v = np.cumsum(u), np.cumsum(v)
+    le, ge = bool((u <= v + tol).all()), bool((v <= u + tol).all())
+    if le and ge:
+        return Comparison.EQUAL
+    return Comparison.LESS if le else Comparison.GREATER if ge else Comparison.INCOMPARABLE
+
+
+@st.composite
+def timbre_pairs(draw):
+    """Two timbres over 1 to 64 harmonics: independent Dirichlet draws, a
+    draw and a brighter copy of it, or a draw and a rescaled near-duplicate."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.2, 1.0, 5.0]))
+    a = rng.dirichlet(np.full(n, alpha))
+    spread = draw(st.sampled_from(["independent", "brighter", 0.0, 1e-12, 1e-9, 1e-6, 0.05]))
+    if spread == "independent":
+        b = rng.dirichlet(np.full(n, alpha))
+    elif spread == "brighter":
+        b = brighten(rng, a)
+    else:
+        b = a * (1.0 + rng.uniform(-spread, spread, n))
+        b /= b.sum()
+    return TimbralVector(a), TimbralVector(b)
 
 
 class TestTimbralVector:
@@ -48,6 +83,17 @@ class TestTimbralVector:
 
 
 class TestSuffixProfile:
+    def test_is_the_timbres_own_read_only_profile(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 64):
+            v = TimbralVector(random_simplex(rng, n))
+            profile = suffix_profile(v)
+            assert profile.tobytes() == np.cumsum(v.power[::-1]).tobytes()
+            assert suffix_profile(v) is profile
+            assert v.profile is profile
+            with pytest.raises(ValueError, match="read-only"):
+                profile[0] = 0.0
+
     def test_examples(self):
         assert np.allclose(suffix_profile(tv(0.5, 0.5, 0.0)), [0.0, 0.5, 1.0])
         assert np.allclose(suffix_profile(tv(0.0, 0.0, 1.0)), [1.0, 1.0, 1.0])
@@ -73,6 +119,13 @@ class TestBrightnessCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             brightness_compare(tv(1.0), tv(0.5, 0.5))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(timbre_pairs(), st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_matches_recomputed_profiles(self, pair, tol):
+        a, b = pair
+        assert brightness_compare(a, b, tol) is recomputed_brightness_compare(a, b, tol)
+        assert brightness_compare(b, a, tol) is recomputed_brightness_compare(b, a, tol)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
     def test_rejects_negative_or_nan_tol(self, tol):
