@@ -166,7 +166,7 @@ def timbre_hasse(directory: str, dot_path: str | None, tol: float, fmt: str) -> 
     diagram = timbre.brightness_hasse(collection, tol)
     dot = spectra.export_dot(diagram.cover, diagram.names)
     if dot_path is not None:
-        Path(dot_path).write_text(dot)
+        Path(dot_path).write_text(dot, encoding="utf-8")
     edges = sorted((diagram.names[i], diagram.names[j]) for i, j in diagram.cover.pairs())
     if fmt == "json":
         _echo_json({

@@ -2,10 +2,11 @@
 
 Given a target timbre p and a brightness bound b, find a timbre x no brighter
 than b that is l1-closest to p, that minimises the summed distance to both, or
-that is closest to b among the points closest to p.  Each problem becomes one
-linear program by the usual absolute-value split;
-simplex membership (sum 1, nonnegativity) is part of the constraint set so
-that the solution is itself a timbre.
+that is closest to b among the points closest to p.  The first two problems
+each become one linear program by the usual absolute-value split; simplex
+membership (sum 1, nonnegativity) is part of the constraint set so that the
+solution is itself a timbre.  The third is answered by a point in closed form,
+with no LP.
 
 No design problem is infeasible or unbounded: x = b, or for closest-to-bound
 the closed-form point at distance 2D from p, is feasible, and each objective
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orders import Comparison, _integer, check_tolerance
-from .simplex import LPResult, LPStandardForm, LPStatus, lp_solve
+from .simplex import LPStandardForm, LPStatus, lp_solve
 from .spectra import MAX_HARMONICS
 from .timbre import (
     TimbralVector,
@@ -35,8 +36,7 @@ from .timbre import (
     tv_distance,
 )
 
-STAGE_TWO_SLACK = 1e-9
-# largest disagreement between an LP objective and its closed form
+# largest disagreement between an answer's distances and their closed forms
 CERTIFICATE_TOL = 1e-9
 # brightness tolerance of solution_no_brighter_than_target
 NO_BRIGHTER_TOL = 1e-6
@@ -81,17 +81,17 @@ def to_lp(problem: DesignProblem) -> LPStandardForm:
     """Reformulate as an LP over (x, u) or (x, u, w).
 
     u bounds |x - target| and w bounds |x - bound|; the objective sums u
-    (closest-to-target), u and w (bi-objective) or w alone (closest-to-bound).
-    Inequalities: the two-sided splits, then the suffix-sum rows keeping x no
-    brighter than the bound, then for closest-to-bound the budget row
-    sum(u) <= 2D + STAGE_TWO_SLACK (:func:`solve_closest_to_bound`).  One
-    equality pins the total power to 1.
+    (closest-to-target) or u and w (bi-objective).  Inequalities: the
+    two-sided splits, then the suffix-sum rows keeping x no brighter than the
+    bound.  One equality pins the total power to 1.  A closest-to-bound
+    problem has no LP here (:func:`solve_closest_to_bound`) and raises
+    ValueError.
     """
+    if problem.variant is Variant.CLOSEST_TO_BOUND:
+        raise ValueError("closest-to-bound is answered in closed form, with no LP")
     n = problem.n
-    p = problem.target.power
-    b = problem.bound.power
-    stage_two = problem.variant is Variant.CLOSEST_TO_BOUND
-    bi = stage_two or problem.variant is Variant.BI_OBJECTIVE
+    p, b = problem.target.power, problem.bound.power
+    bi = problem.variant is Variant.BI_OBJECTIVE
     n_vars = 3 * n if bi else 2 * n
 
     # 0.0 - eye, not -eye, so that every zero is +0.0
@@ -105,59 +105,49 @@ def to_lp(problem: DesignProblem) -> LPStandardForm:
     else:
         rows = [[eye, neg], [neg, neg], [suffix, zero]]
         b_ub = np.concatenate([p, -p, ceiling])
-    if stage_two:
-        rows.append([np.zeros((1, n)), np.ones((1, n)), np.zeros((1, n))])
-        budget = closest_to_target_optimum(problem.target, problem.bound) + STAGE_TWO_SLACK
-        b_ub = np.append(b_ub, budget)
     # what np.block does, at half its cost for small n
     a_ub = np.concatenate([np.concatenate(row, axis=1) for row in rows])
     a_eq = np.zeros((1, n_vars))
     a_eq[0, :n] = 1.0
     c = np.zeros(n_vars)
-    c[2 * n if stage_two else n :] = 1.0
+    c[n:] = 1.0
     return LPStandardForm(c, a_ub, b_ub, a_eq, np.array([1.0]))
 
 
-def _certified(problem: DesignProblem, result: LPResult) -> DesignSolution:
-    """The LP's answer, certified on its cost and on its point, in O(n).
+def _certified(problem: DesignProblem, x: np.ndarray, objective: float) -> DesignSolution:
+    """The answer x, reporting ``objective``, certified on its own terms in O(n).
 
     Each variant's optimum is proved in closed form (:func:`solve_design`,
-    :func:`solve_closest_to_bound`); the closest-to-bound LP may undercut it
-    by its slack.  An LP short of optimal gives no point and a NaN objective.
-    Any other answer is a numerical failure, which keeps the rejected LP
-    objective and no point, unless within ``CERTIFICATE_TOL`` that objective
-    lies in that range, and the point x is a timbre no brighter than the
-    bound, S(x) <= S(b), whose own objective attains the optimum: ||x - p||_1
-    for closest-to-target, ||x - p||_1 + ||x - b||_1 for bi-objective, and
-    ||x - b||_1 within the budget ||x - p||_1 <= 2D + STAGE_TWO_SLACK for
-    closest-to-bound.  A feasible point that attains a proved lower bound is
-    optimal, whatever the simplex did.  The LP objective is reported, or
-    ||x - p||_1 for closest-to-bound.
+    :func:`solve_closest_to_bound`).  The answer is a numerical failure, which
+    keeps the objective and no point, unless within ``CERTIFICATE_TOL`` the
+    objective is the closed form of the variant's first distance, and x is a
+    timbre no brighter than the bound, S(x) <= S(b), whose own distances
+    attain their optima: ||x - p||_1 = 2D for closest-to-target,
+    ||x - p||_1 + ||x - b||_1 = ||p - b||_1 for bi-objective, and for
+    closest-to-bound ||x - p||_1 = 2D, then ||x - b||_1 = ||p - b||_1 - 2D.
+    A feasible point that attains a proved lower bound is optimal, however it
+    was computed.
     """
-    if result.status is not LPStatus.OPTIMAL:
-        return DesignSolution(None, float("nan"))
     try:
-        x = TimbralVector(result.x[: problem.n])
+        point = TimbralVector(x)
     except ValueError:
-        return DesignSolution(None, result.cost)
+        return DesignSolution(None, objective)
     p, b = problem.target, problem.bound
     least, direct = closest_to_target_optimum(p, b), 2 * tv_distance(p, b)
-    to_p, to_b = 2 * tv_distance(x, p), 2 * tv_distance(x, b)
-    # the optimum, the slack below it, the objective at x, the bound on to_p, the reported objective
-    optimum, slack, attained, budget, reported = {
-        Variant.CLOSEST_TO_TARGET: (least, 0.0, to_p, least, result.cost),
-        Variant.BI_OBJECTIVE: (direct, 0.0, to_p + to_b, np.inf, result.cost),
-        Variant.CLOSEST_TO_BOUND: (direct - least, STAGE_TWO_SLACK, to_b, least + STAGE_TWO_SLACK, to_p),
+    to_p, to_b = 2 * tv_distance(point, p), 2 * tv_distance(point, b)
+    # the distances at x that the variant minimises, in order, and their optima
+    attained, optimum = {
+        Variant.CLOSEST_TO_TARGET: ((to_p,), (least,)),
+        Variant.BI_OBJECTIVE: ((to_p + to_b,), (direct,)),
+        Variant.CLOSEST_TO_BOUND: ((to_p, to_b), (least, direct - least)),
     }[problem.variant]
     tol = CERTIFICATE_TOL
-    if (
-        optimum - slack - tol <= result.cost <= optimum + tol
-        and attained <= optimum + tol
-        and to_p <= budget + tol
-        and not (suffix_profile(x) > suffix_profile(b) + tol).any()
-    ):
-        return DesignSolution(x, reported)
-    return DesignSolution(None, result.cost)
+    certified = (
+        abs(objective - optimum[0]) <= tol
+        and all(got <= best + tol for got, best in zip(attained, optimum))
+        and not (suffix_profile(point) > suffix_profile(b) + tol).any()
+    )
+    return DesignSolution(point if certified else None, objective)
 
 
 def solve_design(problem: DesignProblem) -> DesignSolution:
@@ -167,13 +157,17 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     halve it for total variation distance.  It is checked against 2D
     (:func:`closest_to_target_optimum`) or, bi-objective, ||p - b||_1 (the
     triangle inequality, attained at x = b), and so is the distance measured
-    from the returned point (:func:`_certified`).  Closest-to-bound problems
-    go to :func:`solve_closest_to_bound`.  Solutions need not be unique; the
-    deterministic pivot rule fixes which vertex is returned.
+    from the returned point (:func:`_certified`).  An LP short of optimal
+    gives no point and a NaN objective.  Closest-to-bound problems go to
+    :func:`solve_closest_to_bound`, which solves no LP.  Solutions need not be
+    unique; the deterministic pivot rule fixes which vertex is returned.
     """
     if problem.variant is Variant.CLOSEST_TO_BOUND:
         return solve_closest_to_bound(problem)
-    return _certified(problem, lp_solve(to_lp(problem)))
+    result = lp_solve(to_lp(problem))
+    if result.status is not LPStatus.OPTIMAL:
+        return DesignSolution(None, float("nan"))
+    return _certified(problem, result.x[: problem.n], result.cost)
 
 
 def closest_to_target_optimum(target: TimbralVector, bound: TimbralVector) -> float:
@@ -196,25 +190,41 @@ def _closest_to_target_optimum(target_profile: np.ndarray, bound_profile: np.nda
 
 
 def solve_closest_to_bound(problem: DesignProblem) -> DesignSolution:
-    """Among minimisers of the distance to the target, get closest to the bound.
+    """Among minimisers of the distance to the target, the point closest to
+    the bound, in closed form and with no LP.
 
-    Stage one is the closed form: the least distance to the target is
-    2D = :func:`closest_to_target_optimum`, with no LP.  Stage two is the one
-    LP that :func:`to_lp` builds for the closest-to-bound variant: minimise
-    ||x - b||_1 subject to the closest-to-target constraints plus a budget
-    ||x - p||_1 <= 2D + STAGE_TWO_SLACK (exact equality on a floating optimum
-    is brittle).  Its optimum is ||p - b||_1 - 2D, less at most the slack:
-    the triangle inequality bounds it below, and a feasible point between p
-    and b coordinatewise at distance 2D from p attains it (its suffix profile
-    is S(p) less the unimodal upper envelope of S(p) - S(b)).  An LP objective
-    outside that range is a numerical failure, and so is a returned point that
-    breaks the budget or is farther from b than that optimum
-    (:func:`_certified`).  The reported objective is the distance to the
-    target at the returned point.
+    Write S for suffix profiles, S_k the power in the top k harmonics, with
+    S_0 = 0 and S_n = 1, and p_(k) for the k-th harmonic from the top.  Let
+    e_k = (S(p)_k - S(b)_k)_+, so D = max_k e_k and e_0 = e_n = 0, and let
+    env be the least unimodal sequence above e:
+    env_k = min(max_{j<=k} e_j, max_{j>=k} e_j).  It rises to D and then
+    falls, with env_0 = env_n = 0.  The answer x* has S(x*) = S(p) - env;
+    its k-th harmonic from the top is p_(k) - (env_k - env_{k-1}).
+
+    - x* is a timbre.  Its total is S(p)_n - env_n = 1.  Where env rises at k,
+      env_k = e_k > 0 and env_{k-1} >= e_{k-1} >= S(p)_{k-1} - S(b)_{k-1}, so
+      the rise is at most p_(k) - b_(k): then b_(k) <= x*_(k) <= p_(k), and
+      x*_(k) >= 0.  Where env falls at k, env_{k-1} = e_{k-1} > 0 and
+      env_k >= e_k, so the fall is at most b_(k) - p_(k): then
+      p_(k) <= x*_(k) <= b_(k).  Elsewhere x*_(k) = p_(k).
+    - x* is no brighter than b.  env >= e, so S(x*) <= S(p) - e <= S(b).
+    - Both bounds are attained.  ||x* - p||_1 is the total variation of env,
+      2D for a unimodal sequence from 0 up to D and back to 0; that is the
+      least distance to the target (:func:`closest_to_target_optimum`).
+      Every harmonic of x* lies between those of p and b, so
+      ||x* - b||_1 = ||p - b||_1 - 2D, which by the triangle inequality no
+      point at distance 2D from p can undercut.
+
+    The point is certified like an LP answer (:func:`_certified`).  The
+    reported objective is its distance to the target, 2D.
     """
     if problem.variant is not Variant.CLOSEST_TO_BOUND:
-        raise ValueError("two-stage refinement applies to the closest-to-bound variant")
-    return _certified(problem, lp_solve(to_lp(problem)))
+        raise ValueError("the closed-form point answers the closest-to-bound variant only")
+    profile = suffix_profile(problem.target)
+    excess = np.maximum(profile - suffix_profile(problem.bound), 0.0)
+    envelope = np.minimum(np.maximum.accumulate(excess), np.maximum.accumulate(excess[::-1])[::-1])
+    x = np.diff(profile - envelope, prepend=0.0)[::-1]
+    return _certified(problem, x, float(np.abs(x - problem.target.power).sum()))
 
 
 def solution_no_brighter_than_target(problem: DesignProblem, solution: DesignSolution) -> bool:

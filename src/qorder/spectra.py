@@ -11,6 +11,7 @@ read or padded.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -63,7 +64,12 @@ def _is_number(field: str) -> bool:
 
 
 def load_spectrum(path: str | Path) -> RawSpectrum:
-    """Parse a spectrum CSV, named by its file stem; errors name the offending line."""
+    """Parse a spectrum CSV, named by its file stem; errors name the offending line.
+
+    The name is the stem's file-system bytes read as UTF-8, whatever the
+    locale; bytes that are not UTF-8 become ``\\xNN`` escapes, so that
+    distinct files keep distinct names.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -101,7 +107,7 @@ def load_spectrum(path: str | Path) -> RawSpectrum:
     powers = np.zeros(top)
     for index, power in entries.items():
         powers[index - 1] = power
-    return RawSpectrum(path.stem, powers)
+    return RawSpectrum(os.fsencode(path.stem).decode("utf-8", "backslashreplace"), powers)
 
 
 def normalize(raw: RawSpectrum, pad_to: int | None = None) -> TimbralVector:

@@ -1,14 +1,19 @@
-"""Reference oracles for the design LPs.
+"""Reference oracles for the design problems.
 
 An exhaustive search over a grid on the probability simplex: slow and
-approximate, but independent of the LP formulation and the simplex.  And the
-constraint rows of the LP written one entry at a time.
+approximate, but independent of the LP formulation and the simplex.  The
+constraint rows of the LPs written one entry at a time.  And the
+closest-to-bound LP, which the library answers in closed form instead.
 """
 
 import numpy as np
 
-from qorder.design import DesignProblem, DesignSolution, Variant
+from qorder.design import DesignProblem, DesignSolution, Variant, closest_to_target_optimum
+from qorder.simplex import LPStandardForm
 from qorder.timbre import TimbralVector, suffix_profile
+
+# the closest-to-bound LP's budget slack: exact equality on a floating optimum is brittle
+STAGE_TWO_SLACK = 1e-9
 
 
 def simplex_grid(n: int, steps: int) -> list[tuple[int, ...]]:
@@ -60,7 +65,8 @@ def suffix_rows(n: int, n_vars: int) -> np.ndarray:
 
 
 def loop_a_ub(n: int, variant: Variant) -> np.ndarray:
-    """The inequality matrix of ``design.to_lp``, entry by entry."""
+    """The inequality matrix of ``design.to_lp``, or for closest-to-bound of
+    :func:`stage_two_lp`, entry by entry."""
     bi = variant is not Variant.CLOSEST_TO_TARGET
     n_vars = 3 * n if bi else 2 * n
     blocks = [abs_split_rows(n, n_vars, 0, n)]
@@ -73,3 +79,19 @@ def loop_a_ub(n: int, variant: Variant) -> np.ndarray:
             budget[0, n + i] = 1.0
         blocks.append(budget)
     return np.vstack(blocks)
+
+
+def stage_two_lp(problem: DesignProblem) -> LPStandardForm:
+    """The closest-to-bound LP over (x, u, w): minimise sum(w), with w
+    bounding |x - bound|, subject to the bi-objective LP's constraints and the
+    budget row sum(u) <= 2D + STAGE_TWO_SLACK.  Its optimum is
+    ||p - b||_1 - 2D, less at most the slack."""
+    n = problem.n
+    p, b = problem.target.power, problem.bound.power
+    budget = closest_to_target_optimum(problem.target, problem.bound) + STAGE_TWO_SLACK
+    b_ub = np.concatenate([p, -p, b, -b, suffix_profile(problem.bound), [budget]])
+    a_eq = np.zeros((1, 3 * n))
+    a_eq[0, :n] = 1.0
+    c = np.zeros(3 * n)
+    c[2 * n :] = 1.0
+    return LPStandardForm(c, loop_a_ub(n, Variant.CLOSEST_TO_BOUND), b_ub, a_eq, [1.0])

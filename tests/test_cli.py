@@ -143,8 +143,13 @@ class TestTimbreCommands:
 
     @pytest.mark.parametrize("variant", [v.value for v in design.Variant])
     def test_design_numerical_failure_payload(self, runner, monkeypatch, variant):
-        monkeypatch.setattr(design, "lp_solve",
-                            lambda lp: LPResult(np.zeros(lp.n_vars), math.nan, LPStatus.INFEASIBLE))
+        if variant == "closest-to-bound":
+            # no LP: the closed-form point misses a proved optimum that is off by 1e-6
+            optimum = design.closest_to_target_optimum
+            monkeypatch.setattr(design, "closest_to_target_optimum", lambda p, b: optimum(p, b) + 1e-6)
+        else:
+            monkeypatch.setattr(design, "lp_solve",
+                                lambda lp: LPResult(np.zeros(lp.n_vars), math.nan, LPStatus.INFEASIBLE))
         output = run_ok(runner, ["timbre", "design", "--target", str(DATA / "target3.csv"),
                                  "--bound", str(DATA / "bound3.csv"), "--variant", variant])
         assert json.loads(output) == {
@@ -361,6 +366,35 @@ def test_spectrum_encoding_ignores_locale(tmp_path):
     assert (procs[0].returncode, procs[0].stdout, procs[0].stderr) == (0, "Equal\n", "")
     assert procs[1].returncode == 1
     assert procs[1].stderr.startswith(f"error: {latin1}: not UTF-8 text: ")
+
+
+def test_spectrum_names_ignore_locale(tmp_path):
+    # under the C locale, with UTF-8 mode off, file names decode as ASCII
+    package_root = str(Path(qorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}
+    directory = tmp_path / "spectra"
+    directory.mkdir()
+    # brightest last; the last name is not UTF-8
+    for name, text in ((b"b\xc3\xa9", "1,2\n2,1\n"), (b"c\xc3\xa9", "1,1\n2,2\n"), (b"d\xff", "1,1\n2,3\n")):
+        (directory / os.fsdecode(name + b".csv")).write_text(text)
+    dot_path = tmp_path / "out.dot"
+
+    def hasse(*args):
+        proc = subprocess.run([sys.executable, "-m", "qorder", "timbre", "hasse", str(directory), *args],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout.decode("utf-8")
+
+    assert hasse().splitlines() == [
+        "maximal: d\\xff", "minimal: b\u00e9", "b\u00e9 -> c\u00e9", "c\u00e9 -> d\\xff",
+    ]
+    assert json.loads(hasse("--format", "json"))["names"] == ["b\u00e9", "c\u00e9", "d\\xff"]
+    hasse("--dot", str(dot_path))
+    assert dot_path.read_bytes().decode("utf-8") == (
+        'digraph brightness {\n  "b\u00e9";\n  "c\u00e9";\n  "d\\\\xff";\n'
+        '  "b\u00e9" -> "c\u00e9";\n  "c\u00e9" -> "d\\\\xff";\n}\n'
+    )
 
 
 def test_in_process_calls_keep_no_redirected_stream(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from qorder.design import (
     to_lp,
 )
 from qorder.orders import Comparison
-from qorder.simplex import LPResult, LPStatus
+from qorder.simplex import LPResult, LPStatus, lp_solve
 from qorder.spectra import MAX_HARMONICS
 from qorder.timbre import (
     TimbralVector,
@@ -32,13 +33,16 @@ from qorder.timbre import (
 )
 
 import counterexample_hits
-from reference_design import grid_solve, loop_a_ub
+from reference_design import STAGE_TWO_SLACK, grid_solve, loop_a_ub, stage_two_lp
 from structures import random_simplex
 
 DATA = Path(__file__).parent / "data"
 
 # random instances per harmonic count for the closed-form checks, 204 in all
 CLOSED_FORM_INSTANCES = {2: 60, 3: 60, 4: 40, 8: 30, 16: 10, 64: 4}
+
+# the variants that solve_design answers with an LP
+LP_VARIANTS = (Variant.CLOSEST_TO_TARGET, Variant.BI_OBJECTIVE)
 
 
 def tv(*power):
@@ -81,17 +85,21 @@ class TestToLp:
         rng = np.random.default_rng(64)
         for n in range(1, 65):
             target, bound = random_simplex(rng, n), random_simplex(rng, n)
-            for variant in Variant:
+            for variant in LP_VARIANTS:
                 lp = to_lp(problem(target, bound, variant))
                 expected = loop_a_ub(n, variant)
                 assert lp.a_ub.dtype == expected.dtype and lp.a_ub.shape == expected.shape
                 assert lp.a_ub.tobytes() == expected.tobytes(), (n, variant)
                 assert not np.signbit(lp.a_ub[lp.a_ub == 0]).any()
 
+    def test_closest_to_bound_has_no_lp(self):
+        with pytest.raises(ValueError, match="closest-to-bound is answered in closed form"):
+            to_lp(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2], Variant.CLOSEST_TO_BOUND))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
     def test_closest_to_bound_matches_hand_assembly(self, n):
-        # the stage-two LP as it was assembled beside to_lp: the bi-objective
-        # LP, a budget row on u, and costs on w only
+        # the closest-to-bound LP, kept as a test oracle, is the product's
+        # bi-objective LP, a budget row on u, and costs on w only
         rng = np.random.default_rng(300 + n)
         prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
         bi = to_lp(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE))
@@ -101,8 +109,8 @@ class TestToLp:
         c[2 * n :] = 1.0
         optimum = closest_to_target_optimum(prob.target, prob.bound)
         expected = (c, np.vstack([bi.a_ub, budget]),
-                    np.concatenate([bi.b_ub, [optimum + design.STAGE_TWO_SLACK]]), bi.a_eq, bi.b_eq)
-        lp = to_lp(prob)
+                    np.concatenate([bi.b_ub, [optimum + STAGE_TWO_SLACK]]), bi.a_eq, bi.b_eq)
+        lp = stage_two_lp(prob)
         for got, want in zip((lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq), expected):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
@@ -226,6 +234,39 @@ class TestSolveClosestToBound:
             assert via_design.objective == direct.objective
             assert via_design.x.power.tobytes() == direct.x.power.tobytes()
 
+    def test_point_attains_both_bounds(self):
+        # small integer weights give zero harmonics and ties, within and
+        # between target and bound; every third pair is a Dirichlet draw
+        rng = np.random.default_rng(111)
+        for n in range(1, 65):
+            for trial in range(12):
+                if trial % 3 == 0:
+                    p, b = random_simplex(rng, n), random_simplex(rng, n)
+                else:
+                    p, b = rng.integers(0, 1 + trial % 3, size=(2, n)).astype(float)
+                    # an all-zero draw gets one unit of power
+                    p[0] += not p.any()
+                    b[-1] += not b.any()
+                    p, b = p / p.sum(), b / b.sum()
+                prob = problem(p, b, Variant.CLOSEST_TO_BOUND)
+                sol = solve_closest_to_bound(prob)
+                assert sol.status is DesignStatus.OPTIMAL, (n, trial)
+                least = closest_to_target_optimum(prob.target, prob.bound)
+                to_p = float(np.abs(sol.x.power - prob.target.power).sum())
+                to_b = float(np.abs(sol.x.power - prob.bound.power).sum())
+                direct = float(np.abs(prob.target.power - prob.bound.power).sum())
+                assert abs(to_p - least) <= 1e-9 and abs(sol.objective - least) <= 1e-9
+                assert abs(to_b - (direct - least)) <= 1e-9
+                assert (suffix_profile(sol.x) <= suffix_profile(prob.bound) + 1e-9).all()
+
+    def test_largest_instance_under_a_second(self):
+        rng = np.random.default_rng(112)
+        prob = random_problem(rng, MAX_HARMONICS, Variant.CLOSEST_TO_BOUND)
+        start = time.perf_counter()
+        sol = solve_closest_to_bound(prob)
+        assert time.perf_counter() - start < 1.0
+        assert sol.status is DesignStatus.OPTIMAL
+
 
 class TestClosedForms:
     """The LP optima against the suffix-profile formulas.  With
@@ -255,9 +296,25 @@ class TestClosedForms:
             x = solve_closest_to_bound(DesignProblem(prob.target, prob.bound, Variant.CLOSEST_TO_BOUND)).x.power
             assert float(np.abs(x - prob.bound.power).sum()) <= direct - optimum + 1e-8
 
+    @pytest.mark.parametrize("n", sorted(CLOSED_FORM_INSTANCES))
+    def test_stage_two_lp_matches_closed_form(self, n):
+        # the closest-to-bound LP, solved by the library's simplex, reaches
+        # ||p - b||_1 - 2D less at most its slack, and no lower than the
+        # closed-form point's distance to the bound allows
+        rng = np.random.default_rng(400 + n)
+        for _ in range(CLOSED_FORM_INSTANCES[n]):
+            prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
+            closed = float(np.abs(prob.target.power - prob.bound.power).sum()) - closest_to_target_optimum(
+                prob.target, prob.bound)
+            result = lp_solve(stage_two_lp(prob))
+            assert result.status is LPStatus.OPTIMAL
+            assert closed - STAGE_TWO_SLACK - 1e-9 <= result.cost <= closed + 1e-9
+            x = solve_closest_to_bound(prob).x.power
+            assert float(np.abs(x - prob.bound.power).sum()) <= result.cost + STAGE_TWO_SLACK + 1e-9
+
 
 class TestCertificate:
-    """Every design LP answer is checked against its closed form."""
+    """Every design answer is checked against its closed form."""
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -271,33 +328,35 @@ class TestCertificate:
         monkeypatch.setattr(design, "lp_solve", record)
         return calls
 
+    # an objective off its closed form, the LP's cost or the closed-form
+    # point's distance, with the solver's own point
     @pytest.fixture(params=[1e-6, -1e-6], ids=["high", "low"])
-    def skewed_lp(self, request, monkeypatch):
-        costs = []
-        solve = design.lp_solve
+    def skewed_objective(self, request, monkeypatch):
+        objectives = []
+        certified = design._certified
 
-        def skewed(lp, *args, **kwargs):
-            res = solve(lp, *args, **kwargs)
-            costs.append(res.cost + request.param)
-            return LPResult(res.x, costs[-1], res.status)
+        def skewed(problem, x, objective):
+            objectives.append(objective + request.param)
+            return certified(problem, x, objectives[-1])
 
-        monkeypatch.setattr(design, "lp_solve", skewed)
-        return costs
+        monkeypatch.setattr(design, "_certified", skewed)
+        return objectives
 
     @pytest.mark.parametrize("solve", [
         lambda prob: solve_design(prob),
         lambda prob: solve_design(DesignProblem(prob.target, prob.bound, Variant.BI_OBJECTIVE)),
         lambda prob: solve_closest_to_bound(DesignProblem(prob.target, prob.bound, Variant.CLOSEST_TO_BOUND)),
     ], ids=["l1min", "l1min2", "closest-to-bound"])
-    def test_wrong_objective_is_numerical_failure(self, skewed_lp, solve):
+    def test_wrong_objective_is_numerical_failure(self, skewed_objective, solve):
         for prob in (problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2]),
                      problem([0.6, 0.2, 0.2], [0.2, 0.2, 0.6])):
             sol = solve(prob)
             assert sol.status is DesignStatus.NUMERICAL_FAILURE
             # the rejected objective is kept for diagnosis
-            assert sol.x is None and sol.objective == skewed_lp[-1]
+            assert sol.x is None and sol.objective == skewed_objective[-1]
 
-    # each point replaces the LP's own x, which keeps its true cost, on
+    # each point replaces the LP's own x, which keeps its true cost, or is
+    # the closest-to-bound answer with its own distance to the target, on
     # p = (0.1, 0.4, 0.1, 0.4) and b = (0.2, 0.2, 0.4, 0.2), where 2D = 0.4 and
     # ||p - b||_1 = 0.8: the variants that the point solves, if any
     @pytest.mark.parametrize("point, solves", [
@@ -306,19 +365,24 @@ class TestCertificate:
         ((1.0, 0.0, 0.0, 0.0), ()),  # feasible, and far from both
         ((0.3, 0.4, 0.1, 0.2), (Variant.CLOSEST_TO_TARGET,)),  # 0.6 from b
         ((0.2, 0.2, 0.4, 0.2), (Variant.BI_OBJECTIVE,)),  # b: 0.8 from p
-    ], ids=["target", "not-a-timbre", "fundamental", "top-removal", "bound"])
+        ((0.2, 0.4, 0.2, 0.2), tuple(Variant)),  # between p and b, 0.4 from each
+    ], ids=["target", "not-a-timbre", "fundamental", "top-removal", "bound", "closed-form"])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_returned_point_is_certified(self, monkeypatch, point, solves, variant):
         prob = problem([0.1, 0.4, 0.1, 0.4], [0.2, 0.2, 0.4, 0.2], variant)
         assert solve_design(prob).status is DesignStatus.OPTIMAL
-        solve = design.lp_solve
+        if variant is Variant.CLOSEST_TO_BOUND:
+            to_p = float(np.abs(np.subtract(point, prob.target.power)).sum())
+            sol = design._certified(prob, np.array(point), to_p)
+        else:
+            solve = design.lp_solve
 
-        def swapped(lp, *args, **kwargs):
-            res = solve(lp, *args, **kwargs)
-            return LPResult(np.concatenate([point, res.x[4:]]), res.cost, res.status)
+            def swapped(lp, *args, **kwargs):
+                res = solve(lp, *args, **kwargs)
+                return LPResult(np.concatenate([point, res.x[4:]]), res.cost, res.status)
 
-        monkeypatch.setattr(design, "lp_solve", swapped)
-        sol = solve_design(prob)
+            monkeypatch.setattr(design, "lp_solve", swapped)
+            sol = solve_design(prob)
         if variant in solves:
             assert sol.status is DesignStatus.OPTIMAL
             assert sol.x.power.tolist() == list(point)
@@ -326,16 +390,13 @@ class TestCertificate:
             assert sol.status is DesignStatus.NUMERICAL_FAILURE
             assert sol.x is None
 
-    def test_closest_to_bound_solves_one_lp(self, lp_calls):
+    def test_closest_to_bound_solves_no_lp(self, lp_calls):
         rng = np.random.default_rng(108)
-        for n in (2, 3, 4, 16):
+        for n in (1, 2, 3, 4, 16, 64):
             prob = random_problem(rng, n, Variant.CLOSEST_TO_BOUND)
-            lp_calls.clear()
             assert solve_closest_to_bound(prob).status is DesignStatus.OPTIMAL
-            assert len(lp_calls) == 1
-            # the stage-two LP: 3n variables and a budget row after the bi-objective rows
-            assert lp_calls[0].n_vars == 3 * n
-            assert lp_calls[0].b_ub[-1] == closest_to_target_optimum(prob.target, prob.bound) + design.STAGE_TWO_SLACK
+            assert solve_design(prob).status is DesignStatus.OPTIMAL
+        assert lp_calls == []
 
     def test_certified_answers_sit_within_tolerance(self):
         rng = np.random.default_rng(109)
@@ -352,7 +413,7 @@ class TestCertificate:
     # optimal is a numerical failure
     @pytest.mark.parametrize("status", [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED, LPStatus.ITERATION_LIMIT],
                              ids=lambda s: s.value)
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("variant", LP_VARIANTS, ids=lambda v: v.value)
     def test_lp_short_of_optimal_is_numerical_failure(self, monkeypatch, status, variant):
         monkeypatch.setattr(design, "lp_solve", lambda lp: LPResult(np.zeros(lp.n_vars), math.nan, status))
         sol = solve_design(problem([0.2, 0.2, 0.6], [0.6, 0.2, 0.2], variant))

@@ -16,6 +16,7 @@ from qorder.setclass import PitchClassSet, span_limited_classes
 from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_budget, lp_solve
 from qorder.timbre import TimbralVector
 
+from reference_design import stage_two_lp
 from reference_setclass import int64_canonical_masks
 from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex
@@ -46,8 +47,9 @@ def assert_same_solve(lp, tol=1e-9, max_iter=None):
 
 
 def recorded_design_lps(monkeypatch, n, count, seed):
-    """Every LP the design solvers build for ``count`` random instances, one
-    per ``Variant``, each through ``to_lp``."""
+    """Every LP for ``count`` random instances, one per ``Variant``: those
+    that ``solve_design`` builds through ``to_lp``, and the closest-to-bound
+    LP that the library answers in closed form, from ``reference_design``."""
     lps = []
     solve = design.lp_solve
 
@@ -61,7 +63,7 @@ def recorded_design_lps(monkeypatch, n, count, seed):
         target = TimbralVector(random_simplex(rng, n))
         bound = TimbralVector(random_simplex(rng, n))
         design.solve_design(DesignProblem(target, bound))
-        design.solve_closest_to_bound(DesignProblem(target, bound, Variant.CLOSEST_TO_BOUND))
+        lps.append(stage_two_lp(DesignProblem(target, bound, Variant.CLOSEST_TO_BOUND)))
         design.solve_design(DesignProblem(target, bound, Variant.BI_OBJECTIVE))
     monkeypatch.undo()
     return lps
@@ -165,8 +167,9 @@ class TestSimplexMatchesLoopOracle:
         assert peak <= tableau_bytes + 3 * _kernels._PIVOT_BLOCK_BYTES
 
 
-# pivots per solve of one n = 64 instance, at the slack start basis; an
-# all-artificial start took 369, 491 and 958
+# pivots per solve of one n = 64 instance, at the slack start basis, the
+# closest-to-bound LP being reference_design's; an all-artificial start took
+# 369, 491 and 958
 PIVOTS_N64 = {
     Variant.CLOSEST_TO_TARGET: 130,
     Variant.BI_OBJECTIVE: 228,
@@ -179,6 +182,7 @@ def test_pivot_count_n64(monkeypatch, variant):
     rng = np.random.default_rng(64)
     problem = DesignProblem(TimbralVector(random_simplex(rng, 64)),
                             TimbralVector(random_simplex(rng, 64)), variant)
+    lp = stage_two_lp(problem) if variant is Variant.CLOSEST_TO_BOUND else design.to_lp(problem)
     pivots = []
     pivot = _kernels._pivot
 
@@ -187,7 +191,7 @@ def test_pivot_count_n64(monkeypatch, variant):
         return pivot(*args)
 
     monkeypatch.setattr(_kernels, "_pivot", count)
-    assert design.solve_design(problem).status is design.DesignStatus.OPTIMAL
+    assert lp_solve(lp).status is LPStatus.OPTIMAL
     assert len(pivots) <= PIVOTS_N64[variant]
 
 
