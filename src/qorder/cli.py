@@ -32,8 +32,10 @@ def _echo(message: str, err: bool = False) -> None:
     (an ASCII-configured stream is rewrapped as UTF-8), but not through
     click's cache: that cache is keyed weakly on the stream with the stream
     itself as the value, so it would keep every stream an in-process caller
-    redirected to alive until exit.
+    redirected to alive until exit.  File-system bytes in ``message`` (its
+    surrogate escapes) are read as UTF-8, as spectrum names are.
     """
+    message = message.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout", errors=None))
 
 

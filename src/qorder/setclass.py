@@ -114,11 +114,6 @@ def _derived(kind: type, edo: int, members: tuple[int, ...]):
     return out
 
 
-def _steps(members: tuple[int, ...], edo: int) -> tuple[int, ...]:
-    """Cyclic steps between the sorted, nonempty ``members``; the last wraps the octave."""
-    return tuple(map(sub, members[1:] + (members[0] + edo,), members))
-
-
 def canonical_form(pcs: PitchClassSet) -> SetClass:
     """Set class of ``pcs``: equal outputs exactly for transpositionally related inputs.
 
@@ -129,7 +124,7 @@ def canonical_form(pcs: PitchClassSet) -> SetClass:
     """
     members, edo = pcs.members, pcs.edo
     if members:
-        steps = _steps(members, edo)
+        steps = span_profile(pcs).seconds
         low = min(steps)
         if steps.count(low) == 1:  # the one rotation that begins with it
             i = steps.index(low)
@@ -166,13 +161,15 @@ def _step_bounded(edo, max_second) -> tuple[int, int]:
     return edo, max_second
 
 
-def enumerate_set_classes(edo: int, max_second: int | None = None) -> list[SetClass]:
+def enumerate_set_classes(edo: int, max_second: int | None = None, *,
+                          _for_order: bool = False) -> list[SetClass]:
     """Set classes of Z_N sorted by representative: all of them, empty class
     included, or with ``max_second`` the nonempty classes whose every
     adjacent step spans at most ``max_second``.
 
     The step bound is transposition-invariant, so it is decided on each
-    orbit's least mask, and only the classes that meet it are canonicalised.
+    orbit's least mask, and only the classes that meet it are built.
+    ``_for_order`` first refuses a family too large for ``subset_order``.
     """
     # classes below are built without checks, so with a plain int edo
     if max_second is None:
@@ -183,26 +180,36 @@ def enumerate_set_classes(edo: int, max_second: int | None = None) -> list[SetCl
     # a mask is the least of its orbit exactly when it is its own minimum
     orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
     del canon  # not needed beside the bit matrix
+    if max_second is not None:
+        # every step spans at most S exactly when every run of S pitch classes
+        # holds a member: the OR of the rotations right by t < S is full
+        full, runs = (1 << edo) - 1, orbit_masks.copy()
+        for t in range(1, max_second):
+            runs |= (orbit_masks >> t) | (orbit_masks << (edo - t))
+        orbit_masks = orbit_masks[(runs & full) == full]
+    if _for_order:
+        _check_order_size(orbit_masks.size)
     # the members of every orbit minimum from one (K, width) bit matrix, read
     # row by row as bytes: each byte is a member, ascending within a row
     dtype = np.min_scalar_type((1 << edo) - 1).newbyteorder("<")
     bits = np.unpackbits(orbit_masks.astype(dtype).view(np.uint8), bitorder="little")
     bits = bits.reshape(orbit_masks.size, -1).view(bool)
-    sizes = bits.sum(axis=1)
-    if max_second is not None:
-        # k steps of at most max_second reach round the octave only if k * max_second >= edo
-        reach = sizes * max_second >= edo
-        bits, sizes = bits[reach], sizes[reach]
     positions = np.arange(bits.shape[1], dtype=np.uint8)
     members = np.broadcast_to(positions, bits.shape)[bits].tobytes()
-    ends = np.cumsum(sizes).tolist()
-    sets = [_derived(PitchClassSet, edo, tuple(members[lo:hi]))
-            for lo, hi in zip([0, *ends], ends)]
-    if max_second is not None:
-        sets = [s for s in sets if max(span_profile(s).seconds) <= max_second]
-    classes = [canonical_form(s) for s in sets]
+    ends = np.cumsum(bits.sum(axis=1)).tolist()
+    classes = [canonical_form(_derived(PitchClassSet, edo, tuple(members[lo:hi])))
+               for lo, hi in zip([0, *ends], ends)]
     classes.sort(key=attrgetter("members"))
     return classes
+
+
+def _check_order_size(count: int) -> None:
+    """Raise ValueError for a family of more than ``MAX_ORDER_CLASSES`` classes."""
+    if count > MAX_ORDER_CLASSES:
+        raise ValueError(
+            f"family of {count} classes exceeds the subset order's limit of "
+            f"{MAX_ORDER_CLASSES} (its table would take {count ** 2} bytes)"
+        )
 
 
 def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
@@ -213,16 +220,17 @@ def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
     """
     if not classes:
         return FiniteRelation(0, np.zeros((0, 0), dtype=bool))
-    if len(classes) > MAX_ORDER_CLASSES:
-        raise ValueError(
-            f"family of {len(classes)} classes exceeds the subset order's limit of "
-            f"{MAX_ORDER_CLASSES} (its table would take {len(classes) ** 2} bytes)"
-        )
+    _check_order_size(len(classes))
     edo = classes[0].edo
     for c in classes:
         if c.edo != edo:
             raise ValueError("all classes must share an edo")
-    masks = np.array([c.mask for c in classes], dtype=np.int64)
+    # OR each class's member bits; a 0 past the last keeps a trailing empty class in range
+    members = [c.members for c in classes]
+    sizes = np.fromiter(map(len, members), np.int64, len(members))
+    bits = np.left_shift(1, np.frombuffer(b"".join(map(bytes, members)), np.uint8), dtype=np.int64)
+    ored = np.bitwise_or.reduceat(np.append(bits, 0), np.cumsum(sizes) - sizes)
+    masks = np.where(sizes > 0, ored, 0)  # an empty class's segment is not its own
     table = _kernels.subset_leq_matrix(masks, edo)
     table.setflags(write=False)  # so the relation adopts it without a copy
     return FiniteRelation(len(classes), table)
@@ -253,19 +261,19 @@ def span_profile(pcs: PitchClassSet) -> SpanProfile:
     """
     if not pcs.members:
         raise ValueError("span profile of the empty set is undefined")
-    return SpanProfile(_steps(pcs.members, pcs.edo))
+    return SpanProfile(tuple(map(sub, pcs.members[1:] + (pcs.members[0] + pcs.edo,), pcs.members)))
 
 
-def span_limited_classes(edo: int, max_second: int) -> list[SetClass]:
+def span_limited_classes(edo: int, max_second: int, *, _for_order: bool = False) -> list[SetClass]:
     """Nonempty classes whose every adjacent step spans at most ``max_second``."""
-    return enumerate_set_classes(*_step_bounded(edo, max_second))
+    return enumerate_set_classes(*_step_bounded(edo, max_second), _for_order=_for_order)
 
 
 def _family_minimal(edo: int, max_second: int) -> tuple[list[SetClass], set[int]]:
     """The bounded-step family and the indices of its minimal classes, found
     through the generic order machinery (dense relation + minimal element
     scan), not through any structural shortcut."""
-    family = span_limited_classes(edo, max_second)
+    family = span_limited_classes(edo, max_second, _for_order=True)
     return family, minimal_elements(subset_order(family))
 
 

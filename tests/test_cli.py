@@ -233,14 +233,25 @@ class TestErrorPaths:
         bad.write_text("1,abc\n2,0.5\n")
         result = runner.invoke(main, ["timbre", "compare", str(bad), str(bad)])
         assert result.exit_code == 1
-        assert result.stderr == f"error: {bad}:1: non-numeric field in '1,abc'\n"
+        assert result.output == f"error: {bad}:1: non-numeric field in '1,abc'\n"
 
     def test_overflowing_total_power_exit_one(self, runner, tmp_path):
         huge = tmp_path / "huge.csv"
         huge.write_text("1,1e308\n2,1e308\n")
         result = runner.invoke(main, ["timbre", "compare", str(huge), str(huge)])
         assert result.exit_code == 1
-        assert result.stderr == "error: spectrum 'huge' has non-finite total power\n"
+        assert result.output == "error: spectrum 'huge' has non-finite total power\n"
+
+    @pytest.mark.parametrize("command", ["minimal", "check-prop1"])
+    def test_family_above_order_limit_refused_before_any_class(self, runner, monkeypatch, command):
+        def no_class(pcs):
+            raise AssertionError("a class was built above the family limit")
+
+        monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", 100)
+        monkeypatch.setattr(setclass, "canonical_form", no_class)
+        result = runner.invoke(main, ["setclass", command, "--edo", "12", "--max-second", "12"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: family of 351 classes exceeds")
 
     def test_family_above_order_limit_exit_one(self, runner, monkeypatch):
         # edo 12, steps up to 12: 351 nonempty classes
@@ -395,6 +406,33 @@ def test_spectrum_names_ignore_locale(tmp_path):
         'digraph brightness {\n  "b\u00e9";\n  "c\u00e9";\n  "d\\\\xff";\n'
         '  "b\u00e9" -> "c\u00e9";\n  "c\u00e9" -> "d\\\\xff";\n}\n'
     )
+
+
+@pytest.mark.parametrize("dot_name, shown", [
+    (b"sorti\xc3\xa9.dot", "sorti\u00e9.dot"),
+    (b"d\xff.dot", "d\\xff.dot"),
+], ids=["utf-8", "not-utf-8"])
+def test_paths_in_messages_ignore_locale(tmp_path, dot_name, shown):
+    # under the C locale, with UTF-8 mode off, a path prints as its file-system
+    # bytes read as UTF-8, the rule of spectrum names; other bytes as \xNN
+    package_root = str(Path(qorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}
+    (tmp_path / "loc").mkdir()
+    bad, good = b"b\xc3\xa4d\xc3\xa9.csv", b"b\xc3\xa9.csv"
+    (tmp_path / os.fsdecode(bad)).write_text("1,abc\n2,0.5\n")
+    (tmp_path / os.fsdecode(good)).write_text("1,1\n")
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "qorder", *args], capture_output=True, cwd=tmp_path, env=env)
+
+    hasse = run(b"timbre", b"hasse", os.fsencode(fixture_dir()), b"--dot", b"loc/" + dot_name)
+    assert (hasse.returncode, hasse.stderr) == (0, b"")
+    assert hasse.stdout.decode("utf-8").endswith(f"\nwrote loc/{shown}\n")
+    assert (tmp_path / "loc" / os.fsdecode(dot_name)).is_file()
+    compare = run(b"timbre", b"compare", bad, good)
+    assert (compare.returncode, compare.stdout) == (1, b"")
+    assert compare.stderr.decode("utf-8") == "error: b\u00e4d\u00e9.csv:1: non-numeric field in '1,abc'\n"
 
 
 def test_in_process_calls_keep_no_redirected_stream(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 import tracemalloc
@@ -388,6 +389,23 @@ class TestClassLeq:
         with pytest.raises(ValueError, match=f"limit of {len(classes) - 1}"):
             subset_order(classes)
 
+    @pytest.mark.parametrize("edo, max_second", [*((edo, None) for edo in range(1, 13)), (24, 2)])
+    def test_order_masks_are_the_class_masks(self, monkeypatch, edo, max_second):
+        # the masks that subset_order hands its kernel, with the empty class
+        # first and last, and at (24, 2) classes holding bit 23
+        seen = []
+
+        def record(masks, n):
+            seen.append(masks.tolist())
+            return np.zeros((len(masks), len(masks)), dtype=bool)
+
+        monkeypatch.setattr(_kernels, "subset_leq_matrix", record)
+        classes = enumerate_set_classes(edo, max_second)
+        for family in (classes, classes[::-1]):
+            subset_order(family)
+            assert seen.pop() == [c.mask for c in family]
+        assert any(c.mask >> 23 for c in classes) == (edo == 24)
+
     def test_cardinality_monotone(self):
         rng = np.random.default_rng(17)
         classes = enumerate_set_classes(10)
@@ -519,17 +537,37 @@ class TestStepBoundPerOrbit:
 
     @pytest.mark.parametrize("max_second, size", [(1, 1), (3, 3244)])
     def test_only_the_family_is_canonicalised(self, monkeypatch, max_second, size):
-        calls = []
-        canonical = setclass.canonical_form
+        # one step profile per class, taken by canonical_form, and no set
+        # object for an orbit that the mask test rejects
+        calls = collections.Counter()
+        originals = {name: getattr(setclass, name) for name in ("canonical_form", "span_profile", "_derived")}
 
-        def counted(pcs):
-            calls.append(pcs)
-            return canonical(pcs)
+        def counted(name):
+            def call(*args):
+                calls[args[0].__name__ if name == "_derived" else name] += 1
+                return originals[name](*args)
 
-        monkeypatch.setattr(setclass, "canonical_form", counted)
+            return call
+
+        for name in originals:
+            monkeypatch.setattr(setclass, name, counted(name))
         family = span_limited_classes(18, max_second)
         assert len(family) == size
-        assert len(calls) == len(family)
+        assert dict(calls) == {"canonical_form": size, "span_profile": size,
+                               "PitchClassSet": size, "SetClass": size}
+
+    def test_oversized_family_refused_before_any_class(self, monkeypatch):
+        # edo 12, steps up to 12: 351 nonempty classes
+        def no_class(pcs):
+            raise AssertionError("a class was built above the family limit")
+
+        monkeypatch.setattr(setclass, "MAX_ORDER_CLASSES", 100)
+        # the family itself is not limited
+        assert len(span_limited_classes(12, 12)) == len(enumerate_set_classes(12, 12)) == 351
+        monkeypatch.setattr(setclass, "canonical_form", no_class)
+        for call in (span_limited_minimal, thirds_criterion_holds):
+            with pytest.raises(ValueError, match="family of 351 classes exceeds the subset order's limit of 100"):
+                call(12, 12)
 
     @pytest.mark.parametrize("edo, max_second, message", [
         (0, 1, "edo must be at least 1"),
