@@ -1,13 +1,12 @@
 """Hot numeric kernels in numpy.
 
 ``canonical_masks`` and ``subset_leq_matrix`` are the bitmask kernels behind
-set-class enumeration and the class subset order; ``simplex_solve`` is the
-pivot loop behind every LP, started from a basis its caller gives, so that
-rows whose slack is already feasible skip phase 1.  The tests check the
-simplex against a scalar loop form of the same pivot sequence
-(``tests/reference_simplex.py``).
-
-``simplex_solve`` reports its outcome as an ``LPStatus``.
+set-class enumeration and the class subset order, both built on one rotation
+minimum; ``simplex_solve`` is the pivot loop behind every LP, started from a
+basis its caller gives, so that rows whose slack is already feasible skip
+phase 1, and reports its outcome as an ``LPStatus``.  The tests check them
+against the oracles in ``tests/reference_setclass.py`` and
+``tests/reference_simplex.py``.
 """
 
 import enum
@@ -26,10 +25,8 @@ _FEAS_TOL = 1e-7
 # largest row block one pivot updates at once; the update's two temporaries
 # are each this size at most
 _PIVOT_BLOCK_BYTES = 1 << 20
-
-# rows of the subset relation filled per block; 64 beat 256 and 1024 at
-# K = 3244 to 10724
-_BLOCK_ROWS = 64
+# largest temporary of one block of the subset order's level pass
+_ORDER_BLOCK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -37,56 +34,99 @@ _BLOCK_ROWS = 64
 # ---------------------------------------------------------------------------
 
 
-def canonical_masks(n):
-    """Minimum over the n cyclic bit-rotations, for every mask < 2**n.
-
-    Masks are held in the narrowest unsigned dtype that fits n bits, the
-    dtype of the result.  Each rotation by one more bit is made in place in
-    one scratch array, with its wrapped bits in a second, so memory is three
-    arrays of 2**n masks.
-    """
-    dtype = np.min_scalar_type((1 << n) - 1)
-    full, one, wrap = dtype.type((1 << n) - 1), dtype.type(1), dtype.type(max(n - 1, 0))
-    best = np.arange(1 << n, dtype=dtype)
-    rot = best.copy()
-    high = np.empty_like(best)
+def _least_rotation(masks, n):
+    """Minimum over the n cyclic bit-rotations of each n-bit mask, in place:
+    each rotation by one more bit is made in place in one scratch array, with
+    its wrapped bits in a second, so memory is three arrays like ``masks``."""
+    full, one, wrap = map(masks.dtype.type, ((1 << n) - 1, 1, max(n - 1, 0)))
+    rot, high = masks.copy(), np.empty_like(masks)
     for _ in range(1, n):
         np.right_shift(rot, wrap, out=high)
         rot <<= one
         rot |= high
         rot &= full
-        np.minimum(best, rot, out=best)
-    return best
+        np.minimum(masks, rot, out=masks)
+    return masks
+
+
+def canonical_masks(n):
+    """Least rotation of every mask < 2**n, in the narrowest dtype for n bits."""
+    return _least_rotation(np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1)), n)
+
+
+def _orbit_keys(masks, n):
+    """Keys size * 2**n + least rotation, in the narrowest signed dtype, of each
+    mask's orbit, and in column y of its orbit with bit y added (-1 if set)."""
+    bits = np.left_shift(1, np.arange(n), dtype=np.int64).astype(masks.dtype)
+    keys = _least_rotation(np.hstack([masks[:, None], masks[:, None] | bits]), n)
+    keys = keys.astype(np.min_scalar_type(-((n + 2) << n)))
+    size = np.unpackbits(masks.astype("<u4").view(np.uint8)).reshape(-1, 32).sum(axis=1, dtype=keys.dtype)
+    keys |= (size[:, None] + (np.arange(n + 1) > 0)) << n
+    keys[:, 1:][(masks[:, None] & bits) != 0] = -1
+    return keys[:, 0].copy(), keys[:, 1:]
+
+
+def _up_closure(masks, n):
+    """(starts, row, links, parent) over the sorted keys of the orbits above an
+    input, size s from ``starts[s]``: each input's orbit, and from ``links[s]``
+    the parents of each orbit of size s, n - s rows of the size above each."""
+    row_keys, up_keys = _orbit_keys(masks, n)
+    keys, first, row = np.unique(row_keys, return_index=True, return_inverse=True)
+    up_keys = up_keys[first]
+    while True:
+        grown = up_keys[up_keys >= 0]
+        # numpy's binary search runs several times faster on sorted needles
+        order = grown.argsort()
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(keys, grown[order])
+        missing = grown[keys.take(at, mode="clip") != grown]
+        if not missing.size:
+            break
+        new = np.unique(missing)
+        keys, first, back = np.unique(np.concatenate([keys, new]), return_index=True, return_inverse=True)
+        up_keys = np.concatenate([up_keys, _orbit_keys((new % (1 << n)).astype(masks.dtype), n)[1]])[first]
+        row = back[row]
+    starts = np.searchsorted(keys >> n, np.arange(n + 2))
+    links = np.cumsum(np.diff(starts, prepend=0) * np.arange(n + 1, -1, -1))
+    at -= starts[grown >> n]
+    return starts.tolist(), row, links.tolist(), at.astype(np.min_scalar_type(-keys.size))
 
 
 def subset_leq_matrix(masks, n):
     """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j].
 
-    Masks are held in the narrowest unsigned dtype that fits n bits.  The
-    K x K result is filled in blocks of ``_BLOCK_ROWS`` rows: a rotation is a
-    subset of masks[j] when it has no bit outside masks[j].  Beyond the result,
-    memory is the (n, K) rotations and (_BLOCK_ROWS, K) buffers.
+    The answer depends on orbits only.  The inputs above an orbit o, Up(o),
+    are those in o and Up(o + y) for each y outside o: o is below o + y, and
+    if a rotation r of o is a proper subset of masks[j], a bit of masks[j]
+    outside r, rotated back, is a y with o + y below masks[j].  So Up is
+    filled as bitsets of ceil(K / 64) words over the up-closure C of the
+    input orbits, one size at a time from the full mask down, keeping only
+    the size above, and each size's input rows are unpacked into the K x K
+    result, in |C| * n * K / 64 words of work and two sizes' bitsets, |C| * n
+    parents and ``_ORDER_BLOCK_BYTES`` blocks of memory.  A bounded-step family
+    is up-closed, as an added member only splits a step, so C is the family;
+    other inputs can reach every orbit, about 2**n / n (699,252 at n = 24).
     """
-    dtype = np.min_scalar_type((1 << n) - 1)
-    full = dtype.type((1 << n) - 1)
-    masks = np.asarray(masks).astype(dtype)
-    count = masks.shape[0]
-    rots = np.empty((n, count), dtype)
-    rots[0] = masks
-    for t in range(1, n):
-        # rotation 0 is the mask itself, so no shift is by the full width n;
-        # bits shifted above n are cleared by ``outside``
-        rots[t] = (masks << dtype.type(t)) | (masks >> dtype.type(n - t))
-    outside = ~masks & full
-    out = np.zeros((count, count), dtype=bool)
-    tmp = np.empty((_BLOCK_ROWS, count), dtype)
-    for start in range(0, count, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = out[rows]
-        buf = tmp[: block.shape[0]]
-        for t in range(n):
-            np.bitwise_and(rots[t, rows, None], outside, out=buf)
-            block |= buf == 0
+    masks = np.asarray(masks).astype(np.min_scalar_type((1 << n) - 1))
+    count, words = masks.size, -(-masks.size // 64)
+    starts, row, links, parent = _up_closure(masks, n)
+    by_row = row.argsort()
+    bounds = np.searchsorted(row[by_row], starts).tolist()
+    out, above = np.zeros((count, count), dtype=bool), np.zeros((0, words), "<u8")
+    for size in range(n, starts.count(0) - 2, -1):  # starts[s] is 0 up to the least size
+        lo, hi = starts[size], starts[size + 1]
+        parents = parent[links[size]:links[size + 1]].reshape(hi - lo, n - size)
+        up = np.empty((hi - lo, words), "<u8")
+        step = max(1, _ORDER_BLOCK_BYTES // (8 * words * max(1, n - size)))
+        for r in range(0, hi - lo, step):
+            np.bitwise_or.reduce(above[parents[r:r + step]], axis=1, out=up[r:r + step])
+        j = by_row[bounds[size]:bounds[size + 1]]
+        np.bitwise_or.at(up, (row[j] - lo, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
+        step = max(1, _ORDER_BLOCK_BYTES // (64 * words))
+        for r in range(0, j.size, step):
+            bits = up[row[j[r:r + step]] - lo].view(np.uint8)
+            out[j[r:r + step]] = np.unpackbits(bits, axis=1, count=count, bitorder="little").view(bool)
+        above = up
     return out
 
 

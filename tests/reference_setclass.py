@@ -1,6 +1,7 @@
 """Reference forms of the set-class enumeration's fast paths.
 
-The orbit kernel as an int64 loop with a temporary per rotation, and the
+The orbit kernel as an int64 loop with a temporary per rotation; the subset
+order as the dense test of every rotation of every pair of masks; and the
 bounded-step family as a filter over every class of Z_N: canonicalise all
 classes, then keep those whose every adjacent step is at most the bound.
 """
@@ -19,6 +20,37 @@ def int64_canonical_masks(n):
         rot = ((masks << t) | (masks >> (n - t))) & full
         np.minimum(best, rot, out=best)
     return best
+
+
+def dense_subset_leq_matrix(masks, n):
+    """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j].
+
+    Every rotation of every row is tested against every column, 64 rows at a
+    time: a rotation is a subset of masks[j] when it has no bit outside
+    masks[j].  Masks are held in the narrowest unsigned dtype.
+    """
+    block_rows = 64
+    dtype = np.min_scalar_type((1 << n) - 1)
+    full = dtype.type((1 << n) - 1)
+    masks = np.asarray(masks).astype(dtype)
+    count = masks.shape[0]
+    rots = np.empty((n, count), dtype)
+    rots[0] = masks
+    for t in range(1, n):
+        # rotation 0 is the mask itself, so no shift is by the full width n;
+        # bits shifted above n are cleared by ``outside``
+        rots[t] = (masks << dtype.type(t)) | (masks >> dtype.type(n - t))
+    outside = ~masks & full
+    out = np.zeros((count, count), dtype=bool)
+    tmp = np.empty((block_rows, count), dtype)
+    for start in range(0, count, block_rows):
+        rows = slice(start, start + block_rows)
+        block = out[rows]
+        buf = tmp[: block.shape[0]]
+        for t in range(n):
+            np.bitwise_and(rots[t, rows, None], outside, out=buf)
+            block |= buf == 0
+    return out
 
 
 def filtered_family(classes, edo, max_second):

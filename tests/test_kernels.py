@@ -2,13 +2,18 @@
 
 The simplex kernel must follow the loop oracle in ``reference_simplex`` pivot
 for pivot, so status and solution agree bit for bit; the bitmask kernels are
-checked against brute force over rotations and against ``class_leq``.
+checked against brute force over rotations, against ``class_leq`` and, for
+the subset order, against the dense test of every rotation in
+``reference_setclass``.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorder import _kernels, design
 from qorder.design import DesignProblem, Variant
@@ -17,7 +22,7 @@ from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_bu
 from qorder.timbre import TimbralVector
 
 from reference_design import stage_two_lp
-from reference_setclass import int64_canonical_masks
+from reference_setclass import dense_subset_leq_matrix, int64_canonical_masks
 from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex
 
@@ -195,6 +200,28 @@ def test_pivot_count_n64(monkeypatch, variant):
     assert len(pivots) <= PIVOTS_N64[variant]
 
 
+# the (edo, max_second) pairs of the setclass-minimal benchmark workload
+BENCHMARK_FAMILIES = [(e, s) for e, top in {12: 12, 13: 13, 14: 14, 15: 15, 16: 6, 17: 3, 18: 3}.items()
+                      for s in range(1, top + 1)]
+
+
+@st.composite
+def mask_lists(draw):
+    """n of 1 to 24 and at most 64 n-bit masks, each missing at most 10 bits
+    so that few orbits lie above it: 0 for n up to 10, the full mask,
+    duplicates, rotations of an earlier mask, and lists not up-closed."""
+    n = draw(st.integers(1, 24))
+    full = (1 << n) - 1
+    holes = st.sets(st.integers(0, n - 1), max_size=10).map(lambda ys: full - sum(1 << y for y in ys))
+    masks = []
+    for mask in draw(st.lists(holes, max_size=64)):
+        if masks and draw(st.booleans()):
+            earlier, t = draw(st.sampled_from(masks)), draw(st.integers(0, n - 1))
+            mask = ((earlier << t) | (earlier >> (n - t))) & full
+        masks.append(mask)
+    return n, masks
+
+
 def rotation_minimum(mask, n):
     full = (1 << n) - 1
     return min(((mask << t) | (mask >> (n - t))) & full for t in range(n))
@@ -242,13 +269,41 @@ class TestBitmaskKernels:
         assert table.tolist() == expected
 
     def test_subset_leq_matrix_peak_memory(self):
-        masks = np.array([c.mask for c in span_limited_classes(18, 3)], dtype=np.int64)
-        count = len(masks)
-        tracemalloc.start()
-        try:
-            table = _kernels.subset_leq_matrix(masks, 18)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (count, count)
-        assert peak < count * count + (4 << 20)
+        # the benchmark's largest families, K = 3608 and 3244
+        for edo, max_second in ((16, 6), (18, 3)):
+            masks = np.array([c.mask for c in span_limited_classes(edo, max_second)], dtype=np.int64)
+            count = len(masks)
+            tracemalloc.start()
+            try:
+                table = _kernels.subset_leq_matrix(masks, edo)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert table.shape == (count, count)
+            assert peak < count * count + (2 << 20)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_subset_leq_matrix_every_short_list(self, n):
+        for k in range(4):
+            for masks in itertools.product(range(1 << n), repeat=k):
+                masks = np.array(masks, dtype=np.int64)
+                table = _kernels.subset_leq_matrix(masks, n)
+                assert np.array_equal(table, dense_subset_leq_matrix(masks, n)), masks
+
+    @pytest.mark.parametrize("n", (1, 8, 9, 24))
+    def test_subset_leq_matrix_no_masks(self, n):
+        table = _kernels.subset_leq_matrix(np.zeros(0, dtype=np.int64), n)
+        assert table.shape == (0, 0) and table.dtype == bool
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mask_lists())
+    def test_subset_leq_matrix_matches_dense(self, drawn):
+        n, masks = drawn
+        masks = np.array(masks, dtype=np.int64)
+        assert np.array_equal(_kernels.subset_leq_matrix(masks, n), dense_subset_leq_matrix(masks, n))
+
+    @pytest.mark.parametrize("edo, max_second", BENCHMARK_FAMILIES)
+    def test_subset_leq_matrix_benchmark_families(self, edo, max_second):
+        masks = np.array([c.mask for c in span_limited_classes(edo, max_second)], dtype=np.int64)
+        table = _kernels.subset_leq_matrix(masks, edo)
+        assert np.array_equal(table, dense_subset_leq_matrix(masks, edo))
