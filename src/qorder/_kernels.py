@@ -93,7 +93,9 @@ def _up_closure(masks, n):
 
 
 def subset_leq_matrix(masks, n):
-    """out[i, j]: some rotation of masks[i] is a bit-subset of masks[j].
+    """Packed rows of the class subset order: bit j of out[i], at word j >> 6,
+    bit j & 63, is set when some rotation of masks[i] is a bit-subset of
+    masks[j].  ``out`` is a (K, ceil(K / 64)) ``'<u8'`` array.
 
     The answer depends on orbits only.  The inputs above an orbit o, Up(o),
     are those in o and Up(o + y) for each y outside o: o is below o + y, and
@@ -101,18 +103,19 @@ def subset_leq_matrix(masks, n):
     outside r, rotated back, is a y with o + y below masks[j].  So Up is
     filled as bitsets of ceil(K / 64) words over the up-closure C of the
     input orbits, one size at a time from the full mask down, keeping only
-    the size above, and each size's input rows are unpacked into the K x K
-    result, in |C| * n * K / 64 words of work and two sizes' bitsets, |C| * n
-    parents and ``_ORDER_BLOCK_BYTES`` blocks of memory.  A bounded-step family
-    is up-closed, as an added member only splits a step, so C is the family;
-    other inputs can reach every orbit, about 2**n / n (699,252 at n = 24).
+    the size above, and each input's row is its orbit's bitset, in
+    |C| * n * K / 64 words of work and, beside the result, two sizes'
+    bitsets, |C| * n parents and ``_ORDER_BLOCK_BYTES`` blocks of memory.
+    A bounded-step family is up-closed, as an added member only splits a
+    step, so C is the family; other inputs can reach every orbit, about
+    2**n / n (699,252 at n = 24).
     """
     masks = np.asarray(masks).astype(np.min_scalar_type((1 << n) - 1))
     count, words = masks.size, -(-masks.size // 64)
     starts, row, links, parent = _up_closure(masks, n)
     by_row = row.argsort()
     bounds = np.searchsorted(row[by_row], starts).tolist()
-    out, above = np.zeros((count, count), dtype=bool), np.zeros((0, words), "<u8")
+    out, above = np.empty((count, words), "<u8"), np.zeros((0, words), "<u8")
     for size in range(n, starts.count(0) - 2, -1):  # starts[s] is 0 up to the least size
         lo, hi = starts[size], starts[size + 1]
         parents = parent[links[size]:links[size + 1]].reshape(hi - lo, n - size)
@@ -122,10 +125,9 @@ def subset_leq_matrix(masks, n):
             np.bitwise_or.reduce(above[parents[r:r + step]], axis=1, out=up[r:r + step])
         j = by_row[bounds[size]:bounds[size + 1]]
         np.bitwise_or.at(up, (row[j] - lo, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
-        step = max(1, _ORDER_BLOCK_BYTES // (64 * words))
+        step = max(1, _ORDER_BLOCK_BYTES // (8 * words))
         for r in range(0, j.size, step):
-            bits = up[row[j[r:r + step]] - lo].view(np.uint8)
-            out[j[r:r + step]] = np.unpackbits(bits, axis=1, count=count, bitorder="little").view(bool)
+            out[j[r:r + step]] = up[row[j[r:r + step]] - lo]
         above = up
     return out
 

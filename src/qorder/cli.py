@@ -275,7 +275,7 @@ def order_check(relation_path: str, action_path: str, fmt: str) -> None:
     strong, weak = orders.induced_relations(rel, action)
     strong_axioms = orders.relation_axioms(strong.relation)
     weak_axioms = orders.relation_axioms(weak.relation)
-    same = bool((strong.relation.holds == weak.relation.holds).all())
+    same = bool((strong.relation.rows == weak.relation.rows).all())
     diagnostics = {
         "strong_is_preorder": strong_axioms.preorder,
         "increasing_implies_equal": same if props.increasing else None,

@@ -1,9 +1,10 @@
 """Finite relations, permutation group actions, and quotient orders.
 
-The ground set is always an explicit index set ``0..size-1``.  A relation is a
-dense boolean table; a group action is an explicit array of permutations that
-must contain the identity and be closed under composition.  The
-quotient machinery builds the universal ("strong") and existential ("weak")
+The ground set is always an explicit index set ``0..size-1``.  A relation is
+stored as packed 64-bit rows, one bit per pair, which the algorithms that need
+a dense boolean table unpack; a group action is an explicit array of
+permutations that must contain the identity and be closed under composition.
+The quotient machinery builds the universal ("strong") and existential ("weak")
 relations on the orbit space and checks the axioms that decide when those are
 genuine orders.
 """
@@ -74,29 +75,61 @@ def componentwise_verdict(
     return Comparison.INCOMPARABLE
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteRelation:
-    """A boolean relation over ``0..size-1``; ``holds[i, j]`` means i precedes j.
+# word of a relation's packed rows: bit j of a row is column j, little-endian on any host
+_WORD = np.dtype("<u8")
 
-    No axioms are assumed at construction: use :func:`relation_axioms` to
-    find out what the table actually satisfies.  A ``bool`` ndarray that no
-    array in its base chain lets anyone write is adopted as it is; anything
-    else is copied into a read-only table.
+
+@dataclass(frozen=True, eq=False, init=False)
+class FiniteRelation:
+    """A boolean relation over ``0..size-1``; i precedes j when bit j of row i is set.
+
+    ``rows`` is the only storage: a read-only (size, ceil(size / 64))
+    ``'<u8'`` array, bit j of row i at word j >> 6, bit j & 63, with no bit
+    set from column ``size`` on.  ``FiniteRelation(size, table)`` packs a
+    (size, size) table; :meth:`from_rows` takes packed rows.  ``holds`` is the
+    table, unpacked afresh on each access.  No axioms are assumed at
+    construction: use :func:`relation_axioms` to find out what the relation
+    actually satisfies.
     """
 
     size: int
-    holds: np.ndarray
+    rows: np.ndarray
 
-    def __post_init__(self) -> None:
-        table = self.holds
-        if not (isinstance(table, np.ndarray) and table.dtype == bool and _frozen(table)):
-            table = np.array(table, dtype=bool)
-            table.setflags(write=False)
-        if table.shape != (self.size, self.size):
-            raise ValueError(
-                f"relation table has shape {table.shape}, expected {(self.size, self.size)}"
-            )
-        object.__setattr__(self, "holds", table)
+    def __init__(self, size: int, table) -> None:
+        table = np.asarray(table, dtype=bool)
+        if table.shape != (size, size):
+            raise ValueError(f"relation table has shape {table.shape}, expected {(size, size)}")
+        rows = np.zeros((size, -(-size // 64) * 8), np.uint8)
+        rows[:, :-(-size // 8)] = np.packbits(table, axis=1, bitorder="little")
+        rows = rows.view(_WORD)
+        rows.setflags(write=False)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_rows(cls, size: int, rows) -> "FiniteRelation":
+        """The relation whose packed rows are ``rows``.  A ``'<u8'`` ndarray
+        that no array in its base chain lets anyone write is adopted as it is;
+        anything else is copied into a read-only array."""
+        if not (isinstance(rows, np.ndarray) and rows.dtype == _WORD and _frozen(rows)):
+            rows = np.array(rows, dtype=_WORD)
+            rows.setflags(write=False)
+        if rows.shape != (size, -(-size // 64)):
+            raise ValueError(f"relation rows have shape {rows.shape}, expected {(size, -(-size // 64))}")
+        if size % 64 and (rows[:, -1] >> np.uint64(size % 64)).any():
+            raise ValueError(f"relation rows set bits past column {size - 1}")
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "size", size)
+        object.__setattr__(rel, "rows", rows)
+        return rel
+
+    @property
+    def holds(self) -> np.ndarray:
+        """The read-only (size, size) ``bool`` table; ``holds[i, j]`` means i precedes j."""
+        words = np.ascontiguousarray(self.rows).view(np.uint8)
+        table = np.unpackbits(words, axis=1, count=self.size, bitorder="little").view(bool)
+        table.setflags(write=False)
+        return table
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
@@ -323,22 +356,39 @@ def relation_axioms(rel: FiniteRelation) -> RelationAxioms:
     return RelationAxioms(reflexive, antisymmetric, transitive)
 
 
+# rows of one block of the word scans below: about this many bytes of words
+_SCAN_BLOCK_BYTES = 1 << 17
+
+
+def _strict_blocks(rel: FiniteRelation):
+    """(first row, block) over the rows of ``rel`` with their diagonal bits
+    cleared, copied a block of about ``_SCAN_BLOCK_BYTES`` at a time."""
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * max(1, rel.rows.shape[1])))
+    for lo in range(0, rel.size, step):
+        block = rel.rows[lo:lo + step].copy()
+        i = np.arange(lo, lo + len(block))
+        block[i - lo, i >> 6] &= ~(np.uint64(1) << (i & 63).astype(np.uint64))
+        yield lo, block
+
+
 def minimal_elements(rel: FiniteRelation) -> set[int]:
-    """Elements with no distinct predecessor.  The caller is responsible for
-    ``rel`` being a partial order."""
-    return _unbounded(rel.holds, axis=0)
+    """Elements with no distinct predecessor: the bits left clear by the OR
+    of every row, diagonal bits cleared, in size * ceil(size / 64) word
+    operations.  The caller is responsible for ``rel`` being a partial order."""
+    below = np.zeros(rel.rows.shape[1], _WORD)
+    for _, block in _strict_blocks(rel):
+        below |= np.bitwise_or.reduce(block, axis=0)
+    bits = np.unpackbits(below.view(np.uint8), count=rel.size, bitorder="little")
+    return set(np.flatnonzero(bits == 0).tolist())
 
 
 def maximal_elements(rel: FiniteRelation) -> set[int]:
-    """Elements with no distinct successor, under the same contract."""
-    return _unbounded(rel.holds, axis=1)
-
-
-def _unbounded(holds: np.ndarray, axis: int) -> set[int]:
-    """Elements related to no other along ``axis``: a column reduction counts
-    predecessors, a row reduction successors, the diagonal taken out."""
-    others = holds.sum(axis=axis, dtype=np.int32) - np.diagonal(holds)
-    return set(np.flatnonzero(others == 0).tolist())
+    """Elements with no distinct successor, the rows with no bit set off the
+    diagonal, under the same contract and in the same word operations."""
+    bounded = np.empty(rel.size, dtype=bool)
+    for lo, block in _strict_blocks(rel):
+        bounded[lo:lo + len(block)] = block.any(axis=1)
+    return set(np.flatnonzero(~bounded).tolist())
 
 
 def transitive_reduction(rel: FiniteRelation) -> FiniteRelation:

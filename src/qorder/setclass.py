@@ -6,7 +6,7 @@ ascending members are lexicographically least among the N transpositions, so
 nonempty classes always start at 0.  It is read off the least cyclic rotation
 of the set's step sequence, and every class is that one object, built once.
 The subset order on classes ("some transposition embeds") is realised as a
-dense relation so the generic order utilities apply.
+relation of packed 64-bit rows so the generic order utilities apply.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import _kernels
 from .orders import FiniteRelation, _integer, _integers, minimal_elements
 
 MAX_EDO = 24
-# largest family whose dense subset order is built: a 1 GiB boolean table
+# largest family whose subset order is built: a 128 MiB table of packed rows
 MAX_ORDER_CLASSES = 32768
 
 
@@ -208,12 +208,12 @@ def _check_order_size(count: int) -> None:
     if count > MAX_ORDER_CLASSES:
         raise ValueError(
             f"family of {count} classes exceeds the subset order's limit of "
-            f"{MAX_ORDER_CLASSES} (its table would take {count ** 2} bytes)"
+            f"{MAX_ORDER_CLASSES} (its table would take {count * -(-count // 64) * 8} bytes)"
         )
 
 
 def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
-    """Dense subset order over a family of classes that share an edo.
+    """Subset order over a family of classes that share an edo, as packed rows.
 
     Raises ValueError, before allocating, for a family of more than
     ``MAX_ORDER_CLASSES`` classes.
@@ -231,9 +231,9 @@ def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
     bits = np.left_shift(1, np.frombuffer(b"".join(map(bytes, members)), np.uint8), dtype=np.int64)
     ored = np.bitwise_or.reduceat(np.append(bits, 0), np.cumsum(sizes) - sizes)
     masks = np.where(sizes > 0, ored, 0)  # an empty class's segment is not its own
-    table = _kernels.subset_leq_matrix(masks, edo)
-    table.setflags(write=False)  # so the relation adopts it without a copy
-    return FiniteRelation(len(classes), table)
+    rows = _kernels.subset_leq_matrix(masks, edo)
+    rows.setflags(write=False)  # so the relation adopts it without a copy
+    return FiniteRelation.from_rows(len(classes), rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,7 +271,7 @@ def span_limited_classes(edo: int, max_second: int, *, _for_order: bool = False)
 
 def _family_minimal(edo: int, max_second: int) -> tuple[list[SetClass], set[int]]:
     """The bounded-step family and the indices of its minimal classes, found
-    through the generic order machinery (dense relation + minimal element
+    through the generic order machinery (packed relation + minimal element
     scan), not through any structural shortcut."""
     family = span_limited_classes(edo, max_second, _for_order=True)
     return family, minimal_elements(subset_order(family))

@@ -27,6 +27,25 @@ def reflexive_closure(rel: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(rel.size, rel.holds | np.eye(rel.size, dtype=bool))
 
 
+def unpacked_rows(rows: np.ndarray, size: int) -> np.ndarray:
+    """The (size, size) bool table of packed relation rows, bit j of row i
+    at word j >> 6, bit j & 63; AssertionError unless the rows are
+    (size, ceil(size / 64)) '<u8' words with no bit set from column ``size`` on."""
+    assert rows.dtype == np.dtype("<u8") and rows.shape == (size, -(-size // 64)), (rows.dtype, rows.shape)
+    # a little-endian word's bytes hold its bits 0-7, 8-15, ... in order
+    bits = np.unpackbits(np.ascontiguousarray(rows).view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, size:].any(), "bits set past the last column"
+    return bits[:, :size].astype(bool)
+
+
+def unbounded_elements(holds: np.ndarray, axis: int) -> set[int]:
+    """Elements related to no other along ``axis`` of a dense table: a column
+    reduction counts predecessors, a row reduction successors, the diagonal
+    taken out."""
+    others = holds.sum(axis=axis, dtype=np.int32) - np.diagonal(holds)
+    return set(np.flatnonzero(others == 0).tolist())
+
+
 def relation_to_json(rel: FiniteRelation) -> dict:
     """The wire format that ``relation_from_json`` reads."""
     return {"size": rel.size, "pairs": sorted(rel.pairs())}

@@ -463,3 +463,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "set classes: 8\nburnside: 8\n"
+
+
+def test_check_prop1_at_22_3_within_512_mib():
+    # K = 30,229 classes: the packed order is 114 MB where a K x K bool table
+    # would be 871 MiB, more than the whole address space allowed here
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    package_root = str(Path(qorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qorder", "setclass", "check-prop1", "--edo", "22", "--max-second", "3"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "holds: true\n", "")

@@ -3,8 +3,8 @@
 The simplex kernel must follow the loop oracle in ``reference_simplex`` pivot
 for pivot, so status and solution agree bit for bit; the bitmask kernels are
 checked against brute force over rotations, against ``class_leq`` and, for
-the subset order, against the dense test of every rotation in
-``reference_setclass``.
+the subset order, its packed rows unpacked, against the dense test of
+every rotation in ``reference_setclass``.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from qorder.timbre import TimbralVector
 from reference_design import stage_two_lp
 from reference_setclass import dense_subset_leq_matrix, int64_canonical_masks
 from reference_simplex import loop_equality_form, loop_simplex_solve
-from structures import class_leq, random_simplex
+from structures import class_leq, random_simplex, unpacked_rows
 
 # design instances per harmonic count; each yields three LPs, 1242 in all
 DESIGN_INSTANCES = {2: 120, 3: 120, 4: 120, 8: 40, 16: 12, 64: 2}
@@ -264,7 +264,7 @@ class TestBitmaskKernels:
         drawn = rng.integers(0, 1 << n, size=40)
         masks = np.unique(np.concatenate([edges, drawn])).astype(np.int64)
         sets = [PitchClassSet.from_mask(n, int(m)) for m in masks]
-        table = _kernels.subset_leq_matrix(masks, n)
+        table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), len(masks))
         expected = [[class_leq(x, y) for y in sets] for x in sets]
         assert table.tolist() == expected
 
@@ -275,35 +275,37 @@ class TestBitmaskKernels:
             count = len(masks)
             tracemalloc.start()
             try:
-                table = _kernels.subset_leq_matrix(masks, edo)
+                rows = _kernels.subset_leq_matrix(masks, edo)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert table.shape == (count, count)
-            assert peak < count * count + (2 << 20)
+            # the packed result and 2 MB, no K x K table
+            assert rows.shape == (count, -(-count // 64))
+            assert peak < count * -(-count // 64) * 8 + (2 << 20)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_subset_leq_matrix_every_short_list(self, n):
         for k in range(4):
             for masks in itertools.product(range(1 << n), repeat=k):
                 masks = np.array(masks, dtype=np.int64)
-                table = _kernels.subset_leq_matrix(masks, n)
+                table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), k)
                 assert np.array_equal(table, dense_subset_leq_matrix(masks, n)), masks
 
     @pytest.mark.parametrize("n", (1, 8, 9, 24))
     def test_subset_leq_matrix_no_masks(self, n):
-        table = _kernels.subset_leq_matrix(np.zeros(0, dtype=np.int64), n)
-        assert table.shape == (0, 0) and table.dtype == bool
+        rows = _kernels.subset_leq_matrix(np.zeros(0, dtype=np.int64), n)
+        assert rows.shape == (0, 0) and rows.dtype == np.dtype("<u8")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mask_lists())
     def test_subset_leq_matrix_matches_dense(self, drawn):
         n, masks = drawn
         masks = np.array(masks, dtype=np.int64)
-        assert np.array_equal(_kernels.subset_leq_matrix(masks, n), dense_subset_leq_matrix(masks, n))
+        table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), len(masks))
+        assert np.array_equal(table, dense_subset_leq_matrix(masks, n))
 
     @pytest.mark.parametrize("edo, max_second", BENCHMARK_FAMILIES)
     def test_subset_leq_matrix_benchmark_families(self, edo, max_second):
         masks = np.array([c.mask for c in span_limited_classes(edo, max_second)], dtype=np.int64)
-        table = _kernels.subset_leq_matrix(masks, edo)
+        table = unpacked_rows(_kernels.subset_leq_matrix(masks, edo), len(masks))
         assert np.array_equal(table, dense_subset_leq_matrix(masks, edo))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorder import orders
 from qorder.orders import (
@@ -37,6 +39,8 @@ from structures import (
     reflexive_closure,
     relation_to_json,
     transitive_closure,
+    unbounded_elements,
+    unpacked_rows,
 )
 
 
@@ -312,11 +316,47 @@ class TestFiniteRelationTable:
         assert not rel.holds[0, 1]
         assert not rel.holds.flags.writeable
 
-    def test_read_only_bool_table_is_adopted(self):
+    def test_table_is_packed_into_rows(self):
         table = np.eye(3, dtype=bool)
-        table.setflags(write=False)
-        assert FiniteRelation(3, table).holds is table
-        assert FiniteRelation(3, table.T).holds.base is table
+        table[0, 2] = True
+        rel = FiniteRelation(3, table)
+        assert rel.rows.dtype == np.dtype("<u8") and rel.rows.tolist() == [[5], [2], [4]]
+        assert not rel.rows.flags.writeable
+        # unpacked afresh each time, no copy kept
+        assert rel.holds is not rel.holds
+        assert np.array_equal(rel.holds, table)
+
+    def test_read_only_packed_rows_are_adopted(self):
+        rows = np.array([[1], [3], [4]], dtype="<u8")
+        rows.setflags(write=False)
+        assert FiniteRelation.from_rows(3, rows).rows is rows
+        reversed_rows = FiniteRelation.from_rows(3, rows[::-1])
+        assert reversed_rows.rows.base is rows
+        assert reversed_rows.pairs() == [(0, 2), (1, 0), (1, 1), (2, 0)]
+
+    def test_writeable_rows_are_copied(self):
+        # writeable, and a read-only view of writeable rows
+        rows = np.array([[1], [2], [4]], dtype="<u8")
+        view = rows.view()
+        view.setflags(write=False)
+        relations = [FiniteRelation.from_rows(3, rows), FiniteRelation.from_rows(3, view)]
+        rows[0, 0] = 3
+        for rel in relations:
+            assert rel.pairs() == [(0, 0), (1, 1), (2, 2)]
+            assert not rel.rows.flags.writeable
+
+    def test_rows_of_the_wrong_shape_refused(self):
+        with pytest.raises(ValueError, match=r"rows have shape \(3, 2\), expected \(3, 1\)"):
+            FiniteRelation.from_rows(3, np.zeros((3, 2), dtype="<u8"))
+        with pytest.raises(ValueError, match=r"rows have shape \(0, 1\), expected \(0, 0\)"):
+            FiniteRelation.from_rows(0, np.zeros((0, 1), dtype="<u8"))
+
+    def test_bits_past_the_last_column_refused(self):
+        with pytest.raises(ValueError, match="bits past column 2"):
+            FiniteRelation.from_rows(3, np.array([[1], [2], [8]], dtype="<u8"))
+        rows = np.zeros((64, 1), dtype="<u8")
+        rows[0, 0] = 1 << 63
+        assert FiniteRelation.from_rows(64, rows).pairs() == [(0, 63)]
 
     def test_read_only_view_of_writeable_table_is_copied(self):
         table = np.eye(3, dtype=bool)
@@ -358,6 +398,22 @@ class TestRelationAxioms:
         assert not relation_axioms(rel).transitive
 
 
+@st.composite
+def bool_tables(draw):
+    """A square bool table of a size at a word boundary or beside one, with a
+    diagonal that is full, empty or random: sparse, about 0 to 4 pairs a
+    column so that some columns and rows are empty, or of any density."""
+    size = draw(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]))
+    sparse = st.floats(0, 4).map(lambda per_column: per_column / max(size, 1))
+    density = draw(st.one_of(sparse, st.floats(0, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random((size, size)) < density
+    diagonal = draw(st.sampled_from(["reflexive", "irreflexive", "random"]))
+    if diagonal != "random":
+        np.fill_diagonal(table, diagonal == "reflexive")
+    return table
+
+
 class TestMinimalElements:
     def test_chain(self):
         assert minimal_elements(chain(3)) == {0}
@@ -384,6 +440,27 @@ class TestMinimalElements:
             above = {i for i in ids if not any(holds[i, j] for j in ids if j != i)}
             assert minimal_elements(rel) == below
             assert maximal_elements(rel) == above
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(bool_tables())
+    def test_word_scans_match_dense_oracle(self, table):
+        size = len(table)
+        rel = FiniteRelation(size, table)
+        assert np.array_equal(unpacked_rows(rel.rows, size), table)
+        assert np.array_equal(rel.holds, table)
+        assert minimal_elements(rel) == unbounded_elements(table, axis=0)
+        assert maximal_elements(rel) == unbounded_elements(table, axis=1)
+
+    def test_word_scans_across_blocks(self, monkeypatch):
+        # blocks of three rows: diagonal bits at every offset within a block
+        monkeypatch.setattr(orders, "_SCAN_BLOCK_BYTES", 3 * 16)
+        rng = np.random.default_rng(29)
+        for size in (65, 100, 129):
+            table = rng.random((size, size)) < 1.5 / size
+            np.fill_diagonal(table, True)
+            rel = FiniteRelation(size, table)
+            assert minimal_elements(rel) == unbounded_elements(table, axis=0)
+            assert maximal_elements(rel) == unbounded_elements(table, axis=1)
 
 
 def warshall_closure(holds):

@@ -375,7 +375,7 @@ class TestClassLeq:
             finally:
                 tracemalloc.stop()
             assert rel.size == count
-            assert peak < count * count + (2 << 20)
+            assert peak < count * -(-count // 64) * 8 + (2 << 20)
 
     def test_subset_order_family_limit(self, monkeypatch):
         classes = enumerate_set_classes(6)
@@ -398,7 +398,7 @@ class TestClassLeq:
 
         def record(masks, n):
             seen.append(masks.tolist())
-            return np.zeros((len(masks), len(masks)), dtype=bool)
+            return np.zeros((len(masks), -(-len(masks) // 64)), "<u8")
 
         monkeypatch.setattr(_kernels, "subset_leq_matrix", record)
         classes = enumerate_set_classes(edo, max_second)
@@ -566,8 +566,10 @@ class TestStepBoundPerOrbit:
         # the family itself is not limited
         assert len(span_limited_classes(12, 12)) == len(enumerate_set_classes(12, 12)) == 351
         monkeypatch.setattr(setclass, "canonical_form", no_class)
+        # the packed table of 351 classes: 351 rows of 6 words
+        refusal = r"family of 351 classes exceeds the subset order's limit of 100 \(its table would take 16848 bytes\)"
         for call in (span_limited_minimal, thirds_criterion_holds):
-            with pytest.raises(ValueError, match="family of 351 classes exceeds the subset order's limit of 100"):
+            with pytest.raises(ValueError, match=refusal):
                 call(12, 12)
 
     @pytest.mark.parametrize("edo, max_second, message", [
