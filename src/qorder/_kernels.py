@@ -2,7 +2,8 @@
 
 ``canonical_masks`` and ``subset_leq_matrix`` are the bitmask kernels behind
 set-class enumeration and the class subset order, both built on one rotation
-minimum; ``simplex_solve`` is the pivot loop behind every LP, started from a
+minimum, the first deciding the orbit set by returning each orbit's least
+mask; ``simplex_solve`` is the pivot loop behind every LP, started from a
 basis its caller gives, so that rows whose slack is already feasible skip
 phase 1, and reports its outcome as an ``LPStatus``.  The tests check them
 against the oracles in ``tests/reference_setclass.py`` and
@@ -27,6 +28,9 @@ _FEAS_TOL = 1e-7
 _PIVOT_BLOCK_BYTES = 1 << 20
 # largest temporary of one block of the subset order's level pass
 _ORDER_BLOCK_BYTES = 1 << 17
+# masks whose least rotations are taken at once: the orbit kernel's
+# three scratch arrays are each this long at most
+_ORBIT_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +54,17 @@ def _least_rotation(masks, n):
 
 
 def canonical_masks(n):
-    """Least rotation of every mask < 2**n, in the narrowest dtype for n bits."""
-    return _least_rotation(np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1)), n)
+    """Least mask of every transposition orbit of n-bit masks, ascending, in the
+    narrowest dtype for n bits: the masks < 2**n equal to their own least
+    rotation, taken ``_ORBIT_BLOCK`` masks at a time."""
+    dtype = np.min_scalar_type((1 << n) - 1)
+    found = []
+    for lo in range(0, 1 << n, _ORBIT_BLOCK):
+        hi = min(lo + _ORBIT_BLOCK, 1 << n)
+        least = _least_rotation(np.arange(lo, hi, dtype=dtype), n)
+        found.append(least[least == np.arange(lo, hi, dtype=dtype)])
+        del least  # else it is a fourth block beside the next block's three
+    return np.concatenate(found)
 
 
 def _orbit_keys(masks, n):

@@ -94,7 +94,7 @@ def setclass_minimal(edo: int, max_second: int, fmt: str) -> None:
 @_domain_errors
 def setclass_count(edo: int, fmt: str) -> None:
     """Count the transposition classes and cross-check by orbit counting."""
-    count = len(setclass.enumerate_set_classes(edo))
+    count = setclass.count_set_classes(edo)
     check = setclass.burnside_count(edo)
     if fmt == "json":
         _echo_json({"edo": edo, "count": count, "burnside": check, "match": count == check})

@@ -125,13 +125,8 @@ def canonical_form(pcs: PitchClassSet) -> SetClass:
     members, edo = pcs.members, pcs.edo
     if members:
         steps = span_profile(pcs).seconds
-        low = min(steps)
-        if steps.count(low) == 1:  # the one rotation that begins with it
-            i = steps.index(low)
-            least = steps[i:] + steps[:i]
-        else:
-            k, twice = len(steps), steps + steps
-            least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
+        low, k, twice = min(steps), len(steps), steps + steps
+        least = min([twice[i : i + k] for i, s in enumerate(steps) if s == low])
         members = (0, *accumulate(least[:-1]))
     return _derived(SetClass, edo, members)
 
@@ -149,6 +144,12 @@ def burnside_count(edo: int) -> int:
             phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
             total += phi * (2 ** (edo // d))
     return total // edo
+
+
+def count_set_classes(edo: int) -> int:
+    """Number of set classes of Z_N, empty class included, for a supported
+    edo: the number of orbit-minimum masks, with no class built."""
+    return _kernels.canonical_masks(_supported_edo(edo)).size
 
 
 def _step_bounded(edo, max_second) -> tuple[int, int]:
@@ -176,10 +177,7 @@ def enumerate_set_classes(edo: int, max_second: int | None = None, *,
         edo = _supported_edo(edo)
     else:
         edo, max_second = _step_bounded(edo, max_second)
-    canon = _kernels.canonical_masks(edo)
-    # a mask is the least of its orbit exactly when it is its own minimum
-    orbit_masks = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
-    del canon  # not needed beside the bit matrix
+    orbit_masks = _kernels.canonical_masks(edo)
     if max_second is not None:
         # every step spans at most S exactly when every run of S pitch classes
         # holds a member: the OR of the rotations right by t < S is full

@@ -1,6 +1,7 @@
 """Reference forms of the set-class enumeration's fast paths.
 
-The orbit kernel as an int64 loop with a temporary per rotation; the subset
+The orbit kernel as an int64 loop with a temporary per rotation over all 2**n
+masks, whose fixed points are the orbits' least masks; the subset
 order as the dense test of every rotation of every pair of masks; and the
 bounded-step family as a filter over every class of Z_N: canonicalise all
 classes, then keep those whose every adjacent step is at most the bound.
@@ -20,6 +21,13 @@ def int64_canonical_masks(n):
         rot = ((masks << t) | (masks >> (n - t))) & full
         np.minimum(best, rot, out=best)
     return best
+
+
+def int64_orbit_minima(n):
+    """The masks < 2**n equal to their own least rotation, ascending: the least
+    mask of each transposition orbit."""
+    best = int64_canonical_masks(n)
+    return np.flatnonzero(best == np.arange(best.size))
 
 
 def dense_subset_leq_matrix(masks, n):

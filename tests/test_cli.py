@@ -100,6 +100,15 @@ class TestSetclassCommands:
         output = run_ok(runner, ["setclass", "check-prop1", "--edo", "7", "--max-second", "2"])
         assert output == "holds: true\n"
 
+    def test_count_builds_no_class(self, runner, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("setclass count built a class")
+
+        monkeypatch.setattr(setclass, "canonical_form", refuse)
+        monkeypatch.setattr(setclass, "_derived", refuse)
+        output = run_ok(runner, ["setclass", "count", "--edo", "16", "--format", "json"])
+        assert json.loads(output) == {"edo": 16, "count": 4116, "burnside": 4116, "match": True}
+
 
 class TestTimbreCommands:
     def test_compare_text(self, runner):
@@ -465,20 +474,38 @@ def test_module_entry_point():
     assert proc.stdout == "set classes: 8\nburnside: 8\n"
 
 
-def test_check_prop1_at_22_3_within_512_mib():
-    # K = 30,229 classes: the packed order is 114 MB where a K x K bool table
-    # would be 871 MiB, more than the whole address space allowed here
+def run_capped(limit, *args):
+    """``qorder setclass ARGS`` in a subprocess whose address space is capped
+    at ``limit`` bytes, with one BLAS thread."""
     resource = pytest.importorskip("resource")
-    limit = 512 << 20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    # the child imports the same qorder as this process, installed or not
     package_root = str(Path(qorder.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qorder", "setclass", "check-prop1", "--edo", "22", "--max-second", "3"],
+    return subprocess.run(
+        [sys.executable, "-m", "qorder", "setclass", *args],
         capture_output=True, text=True, preexec_fn=cap_address_space,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
     )
+
+
+def test_check_prop1_at_22_3_within_512_mib():
+    # K = 30,229 classes: the packed order is 114 MB where a K x K bool table
+    # would be 871 MiB, more than the whole address space allowed here
+    proc = run_capped(512 << 20, "check-prop1", "--edo", "22", "--max-second", "3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "holds: true\n", "")
+
+
+@pytest.mark.parametrize("args, lines", [
+    (("count", "--edo", "24"), 2),
+    (("minimal", "--edo", "24", "--max-second", "2"), 39),
+])
+def test_edo_24_within_256_mib(args, lines):
+    # the orbits of Z_24 are found 2**18 masks at a time: three arrays of all
+    # 2**24 masks would take 192 MiB
+    proc = run_capped(256 << 20, *args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == lines

@@ -22,7 +22,7 @@ from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_bu
 from qorder.timbre import TimbralVector
 
 from reference_design import stage_two_lp
-from reference_setclass import dense_subset_leq_matrix, int64_canonical_masks
+from reference_setclass import dense_subset_leq_matrix, int64_orbit_minima
 from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex, unpacked_rows
 
@@ -230,7 +230,7 @@ def rotation_minimum(mask, n):
 class TestBitmaskKernels:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_canonical_masks_is_rotation_minimum(self, n):
-        expected = [rotation_minimum(m, n) for m in range(1 << n)]
+        expected = [m for m in range(1 << n) if rotation_minimum(m, n) == m]
         assert _kernels.canonical_masks(n).tolist() == expected
 
     @pytest.mark.parametrize("n, dtype", [
@@ -242,19 +242,25 @@ class TestBitmaskKernels:
 
     @pytest.mark.parametrize("n", (8, 9, 16, 17, 20))
     def test_canonical_masks_matches_int64_loop(self, n):
-        expected = int64_canonical_masks(n)
-        assert np.array_equal(_kernels.canonical_masks(n), expected)
+        assert np.array_equal(_kernels.canonical_masks(n), int64_orbit_minima(n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_canonical_masks_across_blocks(self, monkeypatch, n):
+        # blocks of 8 masks: one partial block for n < 3, and up to 512 blocks
+        monkeypatch.setattr(_kernels, "_ORBIT_BLOCK", 8)
+        assert np.array_equal(_kernels.canonical_masks(n), int64_orbit_minima(n))
 
     def test_canonical_masks_peak_memory(self):
-        # the result and two scratch arrays, with no temporary per rotation
+        # the three scratch blocks of the rotation pass beside the result, with
+        # no array of all 2**20 masks
         tracemalloc.start()
         try:
-            best = _kernels.canonical_masks(20)
+            least = _kernels.canonical_masks(20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert best.nbytes == 4 << 20
-        assert peak <= 3 * best.nbytes + (64 << 10)
+        assert least.size == 52488 and least.dtype == np.uint32
+        assert peak <= 3 * _kernels._ORBIT_BLOCK * least.itemsize + least.nbytes + (64 << 10)
 
     # 8/9, 16/17 and 24 straddle the uint8, uint16 and uint32 mask dtypes
     @pytest.mark.parametrize("n", (3, 7, 8, 9, 12, 16, 17, 24))
