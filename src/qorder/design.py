@@ -40,6 +40,8 @@ from .timbre import (
 CERTIFICATE_TOL = 1e-9
 # brightness tolerance of solution_no_brighter_than_target
 NO_BRIGHTER_TOL = 1e-6
+# largest block of trials the counterexample search draws and checks at once
+_SEARCH_BLOCK_BYTES = 1 << 16
 
 
 class Variant(enum.Enum):
@@ -277,16 +279,21 @@ def counterexample_search(
     rounding noise at n <= 3, where the infimum is optimal, is never
     reported, and a reported gap is never negative.
 
-    Each trial draws target and bound as the two rows of one Dirichlet draw,
-    checks both as :class:`TimbralVector` would, and is decided from their
-    suffix profiles by the formulas behind :func:`timbre.infimum` and
-    :func:`closest_to_target_optimum`, with no vector built.  A hit builds the
-    vectors and the infimum, and is certified by one ``solve_design``, whose
-    objective is reported and which checks itself against the same closed
-    form; a solution without a point raises RuntimeError.  Stops at the first
-    hit; reports not-found when the budget runs out, which is inconclusive
-    rather than a refutation.  ``n``, ``trials`` and ``seed`` are integers,
-    or integral floats such as 4.0.
+    Trials are drawn in blocks of ``_SEARCH_BLOCK_BYTES``: k = 2**16 // (16 n)
+    trials come from one ``rng.dirichlet(ones(n), size=2k)`` call, and all
+    their rows are checked at once as :class:`TimbralVector` would check
+    them.  A block's rows are bit for bit the draws of k successive
+    ``size=2`` calls, so trial t's target and bound are rows 2t and 2t + 1
+    of the stream whatever the block size.  Each trial is then decided from
+    the suffix profiles of its two rows by the formulas behind
+    :func:`timbre.infimum` and :func:`closest_to_target_optimum`, with no
+    vector built.  A hit builds the vectors and the infimum, and is certified
+    by one ``solve_design``, whose objective is reported and which checks
+    itself against the same closed form; a solution without a point raises
+    RuntimeError.  Stops at the first hit; reports not-found when the budget
+    runs out, which is inconclusive rather than a refutation.  ``n``,
+    ``trials`` and ``seed`` are integers below 2**63 in magnitude, or
+    integral floats such as 4.0.
     """
     n = _integer(n, "n must be an integer")
     trials = _integer(trials, "trials must be an integer")
@@ -301,32 +308,36 @@ def counterexample_search(
     floor = max(gap_tol, CERTIFICATE_TOL)
     rng = np.random.default_rng(seed)
     alpha = np.ones(n)
-    for trial in range(trials):
-        # the rows are the draws of two successive rng.dirichlet(alpha) calls
-        draws = rng.dirichlet(alpha, size=2)
+    block = max(1, _SEARCH_BLOCK_BYTES // (16 * n))
+    for start in range(0, trials, block):
+        # the block's rows are those of successive rng.dirichlet(alpha) calls
+        draws = rng.dirichlet(alpha, size=2 * min(block, trials - start))
         _check_power(draws)
-        p, b = draws
-        profile_p, profile_b = draws[:, ::-1].cumsum(axis=1)
-        objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
-        optimum = _closest_to_target_optimum(profile_p, profile_b)
-        if objective_z - optimum <= floor:
-            continue
-        tp, tb = TimbralVector(p), TimbralVector(b)
-        z = infimum(tb, tp)
-        solution = solve_design(DesignProblem(tp, tb))
-        if solution.x is None:
-            raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value} "
-                               f"objective {solution.objective!r}, the closed form {optimum!r}")
-        return SearchReport(
-            n=n,
-            trials=trials,
-            seed=seed,
-            gap_tol=gap_tol,
-            trial_index=trial,
-            target=tp.power,
-            bound=tb.power,
-            infimum_point=z.power,
-            objective_at_infimum=objective_z,
-            lp_objective=solution.objective,
-        )
+        for offset in range(len(draws) // 2):
+            trial = start + offset
+            pair = draws[2 * offset : 2 * offset + 2]
+            p, b = pair
+            profile_p, profile_b = pair[:, ::-1].cumsum(axis=1)
+            objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
+            optimum = _closest_to_target_optimum(profile_p, profile_b)
+            if objective_z - optimum <= floor:
+                continue
+            tp, tb = TimbralVector(p), TimbralVector(b)
+            z = infimum(tb, tp)
+            solution = solve_design(DesignProblem(tp, tb))
+            if solution.x is None:
+                raise RuntimeError(f"trial {trial}: the certificate LP gives {solution.status.value} "
+                                   f"objective {solution.objective!r}, the closed form {optimum!r}")
+            return SearchReport(
+                n=n,
+                trials=trials,
+                seed=seed,
+                gap_tol=gap_tol,
+                trial_index=trial,
+                target=tp.power,
+                bound=tb.power,
+                infimum_point=z.power,
+                objective_at_infimum=objective_z,
+                lp_objective=solution.objective,
+            )
     return SearchReport(n=n, trials=trials, seed=seed, gap_tol=gap_tol)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -231,7 +232,9 @@ def _integers(values, rule: str) -> np.ndarray:
 
 
 def _integer(value, rule: str) -> int:
-    """One integer, by the rule of :func:`_integers`."""
+    """One integer, by the rule of :func:`_integers`, below 2**63 in magnitude."""
+    if isinstance(value, numbers.Integral) and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{rule} below 2**63 in magnitude, got {value}")
     array = _integers(value, rule)
     if array.ndim:
         raise ValueError(f"{rule}, got an array of shape {array.shape}")

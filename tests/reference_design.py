@@ -2,15 +2,26 @@
 
 An exhaustive search over a grid on the probability simplex: slow and
 approximate, but independent of the LP formulation and the simplex.  The
-constraint rows of the LPs written one entry at a time.  And the
-closest-to-bound LP, which the library answers in closed form instead.
+constraint rows of the LPs written one entry at a time.  The
+closest-to-bound LP, which the library answers in closed form instead.  And
+the counterexample search with one Dirichlet draw per trial, which the
+library draws in blocks instead.
 """
 
 import numpy as np
 
-from qorder.design import DesignProblem, DesignSolution, Variant, closest_to_target_optimum
+from qorder.design import (
+    CERTIFICATE_TOL,
+    DesignProblem,
+    DesignSolution,
+    SearchReport,
+    Variant,
+    _closest_to_target_optimum,
+    closest_to_target_optimum,
+    solve_design,
+)
 from qorder.simplex import LPStandardForm
-from qorder.timbre import TimbralVector, suffix_profile
+from qorder.timbre import TimbralVector, _check_power, _infimum_power, infimum, suffix_profile
 
 # the closest-to-bound LP's budget slack: exact equality on a floating optimum is brittle
 STAGE_TWO_SLACK = 1e-9
@@ -95,3 +106,24 @@ def stage_two_lp(problem: DesignProblem) -> LPStandardForm:
     c = np.zeros(3 * n)
     c[2 * n :] = 1.0
     return LPStandardForm(c, loop_a_ub(n, Variant.CLOSEST_TO_BOUND), b_ub, a_eq, [1.0])
+
+
+def reference_counterexample_search(n: int, trials: int, seed: int, gap_tol: float) -> SearchReport:
+    """``design.counterexample_search`` with one ``size=2`` Dirichlet draw and
+    one check per trial, for valid arguments only."""
+    floor = max(gap_tol, CERTIFICATE_TOL)
+    rng = np.random.default_rng(seed)
+    alpha = np.ones(n)
+    for trial in range(trials):
+        draws = rng.dirichlet(alpha, size=2)
+        _check_power(draws)
+        p, b = draws
+        profile_p, profile_b = draws[:, ::-1].cumsum(axis=1)
+        objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
+        if objective_z - _closest_to_target_optimum(profile_p, profile_b) <= floor:
+            continue
+        tp, tb = TimbralVector(p), TimbralVector(b)
+        solution = solve_design(DesignProblem(tp, tb))
+        return SearchReport(n, trials, seed, gap_tol, trial, tp.power, tb.power,
+                            infimum(tb, tp).power, objective_z, solution.objective)
+    return SearchReport(n, trials, seed, gap_tol)

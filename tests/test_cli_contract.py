@@ -1,8 +1,9 @@
-"""The CLI contract for the set-class commands: every input gets a correct
-answer or one clean ``error:`` line, never a traceback.
+"""The CLI contract for the set-class commands and ``timbre counterexample``:
+every input gets a correct answer or one clean ``error:`` line, never a
+traceback.
 
-Each command runs in process through ``main.main`` over a grid of edos and
-step bounds, valid and not.  Answers are checked by the benchmark's own
+Each command runs in process through ``main.main`` over a grid of options,
+valid and not.  Set-class answers are checked by the benchmark's own
 reference, ``perfbench/reference.py``, which does not call qorder.
 """
 
@@ -16,6 +17,7 @@ import pytest
 
 from qorder.cli import main
 from qorder.setclass import MAX_EDO
+from qorder.spectra import MAX_HARMONICS
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_reference", Path(__file__).parents[1] / "perfbench" / "reference.py")
@@ -75,3 +77,41 @@ def test_count():
         if code == 0:
             data = json.loads(out)
             assert data["match"] is True and data["count"] == reference.burnside(int(edo))
+
+
+def test_counterexample():
+    for n in (2, 3, 4, 16):
+        for trials in (1, 5, 300):
+            for seed in (0, 1, 2**31):
+                for gap_tol in ("0", "1e-4", "nan", "-1", "1e400"):
+                    code, out, err = run(["timbre", "counterexample", "--n", str(n), "--trials",
+                                          str(trials), "--seed", str(seed), "--gap-tol", gap_tol,
+                                          "--format", "json"])
+                    assert_clean(code, out, err, 0 if gap_tol in ("0", "1e-4") else 1)
+                    if code == 0:
+                        data = json.loads(out)
+                        assert (data["n"], data["trials"], data["seed"]) == (n, trials, seed)
+                        # the infimum is optimal for n <= 3
+                        assert not data["found"] or n > 3
+
+
+PAST_INT64 = (str(2**63), str(2**64 + 1))
+
+
+@pytest.mark.parametrize("option", ["--n", "--trials", "--seed"])
+@pytest.mark.parametrize("value", ["1.5", "-1", str(MAX_HARMONICS + 1), *PAST_INT64])
+def test_counterexample_bad_integers(option, value):
+    if value == "1.5":
+        expected = 2
+    elif value == str(MAX_HARMONICS + 1):  # above the harmonic cap: an error for n only
+        expected = 1 if option == "--n" else 0
+    else:
+        expected = 1
+    # the other options at small valid values
+    args = {"--n": "4", "--trials": "5", "--seed": "0", option: value}
+    code, out, err = run(["timbre", "counterexample", *(x for kv in args.items() for x in kv),
+                          "--format", "json"])
+    assert_clean(code, out, err, expected)
+    if value in PAST_INT64:
+        # named as given, not wrapped round to a negative int64
+        assert err.rstrip().endswith(f"got {value}"), err

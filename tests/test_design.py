@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from qorder.simplex import LPResult, LPStatus, lp_solve
 from qorder.spectra import MAX_HARMONICS
 from qorder.timbre import (
     TimbralVector,
+    _infimum_power,
     brightness_compare,
     infimum,
     suffix_profile,
@@ -33,7 +35,14 @@ from qorder.timbre import (
 )
 
 import counterexample_hits
-from reference_design import STAGE_TWO_SLACK, grid_solve, loop_a_ub, stage_two_lp
+import reference_design
+from reference_design import (
+    STAGE_TWO_SLACK,
+    grid_solve,
+    loop_a_ub,
+    reference_counterexample_search,
+    stage_two_lp,
+)
 from structures import random_simplex
 
 DATA = Path(__file__).parent / "data"
@@ -561,6 +570,8 @@ class TestCounterexampleSearch:
         (("4", 10, 0), "n must be an integer, got '4'"),
         ((4, None, 0), "trials must be an integer, got None"),
         ((4, 10, [0]), "seed must be an integer, got an array of shape (1,)"),
+        ((4, 10, 2**63), f"seed must be an integer below 2**63 in magnitude, got {2**63}"),
+        ((4, -(2**64), 0), f"trials must be an integer below 2**63 in magnitude, got {-(2**64)}"),
     ])
     def test_non_integers_rejected(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -590,13 +601,16 @@ class TestCounterexampleSearch:
         ([1.0 + 1e-6, -1e-6], "negative power component"),
     ])
     def test_every_draw_checked(self, monkeypatch, bad, message):
-        # valid pairs for three trials, then a bound that is not a timbre
+        # valid pairs for three trials, then a bound that is not a timbre,
+        # then valid pairs; each call takes the number of rows it asks for
         class Draws:
             def __init__(self):
-                self.pairs = [[[0.5, 0.5], [0.5, 0.5]]] * 3 + [[[0.5, 0.5], bad]]
+                self.rows = [[0.5, 0.5]] * 7 + [bad] + [[0.5, 0.5]] * 12
 
             def dirichlet(self, alpha, size):
-                return np.array(self.pairs.pop(0))
+                drawn, self.rows = self.rows[:size], self.rows[size:]
+                assert len(drawn) == size
+                return np.array(drawn)
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
         with pytest.raises(ValueError, match=message):
@@ -657,3 +671,79 @@ class TestCounterexampleSearch:
         assert [record for record in recorded if record["n"] == n] == [
             counterexample_hits.record(*case) for case in cases
         ]
+
+
+def assert_same_report(report, expected):
+    for field in dataclasses.fields(design.SearchReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert type(got) is type(want) and got == want, field.name
+
+
+class TestSearchBlocks:
+    # trials per block, k = 2**16 // (16 n)
+    BLOCK = {2: 2048, 3: 1365, 4: 1024, 64: 64, 1024: 4}
+
+    def test_block_size(self):
+        for n, block in self.BLOCK.items():
+            assert design._SEARCH_BLOCK_BYTES // (16 * n) == block
+
+    # the last two cases first hit at trial k, the first of the second block,
+    # so only with trials = k + 1: their gap_tol lies between the largest gap
+    # of the first block and the gap at trial k
+    @pytest.mark.parametrize("n, seed, gap_tol", [
+        (2, 0, 0.0), (3, 1, 0.0), (4, 0, 1e-4), (64, 0, 1e-4), (1024, 0, 1e-4),
+        (64, 12, 0.72), (1024, 16, 0.9),
+    ])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_matches_one_draw_per_trial(self, monkeypatch, n, seed, gap_tol, extra):
+        if n == 1024:
+            # the certificate LP takes seconds at n = 1024: both searches get
+            # the closed-form optimum in its place
+            def closed_form(problem):
+                return DesignSolution(problem.bound, closest_to_target_optimum(problem.target, problem.bound))
+
+            monkeypatch.setattr(design, "solve_design", closed_form)
+            monkeypatch.setattr(reference_design, "solve_design", closed_form)
+        trials = self.BLOCK[n] + extra
+        report = counterexample_search(n, trials, seed, gap_tol)
+        assert_same_report(report, reference_counterexample_search(n, trials, seed, gap_tol))
+        if gap_tol > 0.5:
+            assert report.trial_index == (self.BLOCK[n] if extra == 1 else None)
+
+    def test_first_hit_in_a_later_block(self):
+        report = counterexample_search(64, 1_000, 12, 0.75)
+        assert report.trial_index >= 2 * self.BLOCK[64]
+        assert_same_report(report, reference_counterexample_search(64, 1_000, 12, 0.75))
+
+    # drawing every trial at once would hold 200 * 2 * 1024 doubles, 3.2 MB; an
+    # l1 gap is at most 2, so no trial hits and every block is drawn
+    def test_memory_bounded_by_one_block(self):
+        counterexample_search(1024, 5, seed=0, gap_tol=2.0)
+        tracemalloc.start()
+        try:
+            report = counterexample_search(1024, 200, seed=0, gap_tol=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.found
+        assert peak < 256 * 1024
+
+
+# the search decides a trial on objective_z - optimum; with e the positive
+# part of S(p) - S(b), e_0 = e_n = 0, that is TV(e) - 2 max e, zero when e is
+# unimodal, as it always is for n <= 3
+def test_decision_quantity_is_excess_variation_less_twice_its_peak():
+    rng = np.random.default_rng(2012)
+    for n in range(2, 40):
+        for _ in range(40):
+            p, b = rng.dirichlet(np.ones(n), size=2)
+            profile_p, profile_b = np.cumsum(p[::-1]), np.cumsum(b[::-1])
+            objective_z = float(np.abs(_infimum_power(profile_b, profile_p) - p).sum())
+            quantity = objective_z - design._closest_to_target_optimum(profile_p, profile_b)
+            e = np.concatenate([[0.0], np.maximum(profile_p - profile_b, 0.0)[:-1], [0.0]])
+            assert quantity == pytest.approx(np.abs(np.diff(e)).sum() - 2 * e.max(), abs=1e-12)
+            if n <= 3:
+                assert abs(quantity) <= 1e-12
