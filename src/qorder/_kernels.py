@@ -79,26 +79,23 @@ def _orbit_keys(masks, n):
     return keys[:, 0].copy(), keys[:, 1:]
 
 
-def _up_closure(masks, n):
-    """(starts, row, links, parent) over the sorted keys of the orbits above an
-    input, size s from ``starts[s]``: each input's orbit, and from ``links[s]``
-    the parents of each orbit of size s, n - s rows of the size above each."""
+def _orbit_parents(masks, n):
+    """(starts, row, links, parent) over the sorted keys of the input orbits,
+    size s from ``starts[s]``: each input's orbit, and from ``links[s]`` the
+    parents of each orbit of size s, n - s rows of the size above each."""
     row_keys, up_keys = _orbit_keys(masks, n)
     keys, first, row = np.unique(row_keys, return_index=True, return_inverse=True)
     up_keys = up_keys[first]
-    while True:
-        grown = up_keys[up_keys >= 0]
-        # numpy's binary search runs several times faster on sorted needles
-        order = grown.argsort()
-        at = np.empty_like(order)
-        at[order] = np.searchsorted(keys, grown[order])
-        missing = grown[keys.take(at, mode="clip") != grown]
-        if not missing.size:
-            break
-        new = np.unique(missing)
-        keys, first, back = np.unique(np.concatenate([keys, new]), return_index=True, return_inverse=True)
-        up_keys = np.concatenate([up_keys, _orbit_keys((new % (1 << n)).astype(masks.dtype), n)[1]])[first]
-        row = back[row]
+    grown = up_keys[up_keys >= 0]
+    # numpy's binary search runs several times faster on sorted needles
+    order = grown.argsort()
+    at = np.empty_like(order)
+    at[order] = np.searchsorted(keys, grown[order])
+    missing = keys.take(at, mode="clip") != grown
+    if missing.any():
+        i, y = divmod(int(np.flatnonzero(up_keys >= 0)[missing.argmax()]), n)
+        named = "{" + ",".join(str(x) for x in range(n) if int(masks[first[i]]) >> x & 1) + "}"
+        raise ValueError(f"family not closed under adding a member: {named} plus pitch class {y} leaves it")
     starts = np.searchsorted(keys >> n, np.arange(n + 2))
     links = np.cumsum(np.diff(starts, prepend=0) * np.arange(n + 1, -1, -1))
     at -= starts[grown >> n]
@@ -110,22 +107,21 @@ def subset_leq_matrix(masks, n):
     bit j & 63, is set when some rotation of masks[i] is a bit-subset of
     masks[j].  ``out`` is a (K, ceil(K / 64)) ``'<u8'`` array.
 
-    The answer depends on orbits only.  The inputs above an orbit o, Up(o),
-    are those in o and Up(o + y) for each y outside o: o is below o + y, and
-    if a rotation r of o is a proper subset of masks[j], a bit of masks[j]
-    outside r, rotated back, is a y with o + y below masks[j].  So Up is
-    filled as bitsets of ceil(K / 64) words over the up-closure C of the
-    input orbits, one size at a time from the full mask down, keeping only
-    the size above, and each input's row is its orbit's bitset, in
-    |C| * n * K / 64 words of work and, beside the result, two sizes'
-    bitsets, |C| * n parents and ``_ORDER_BLOCK_BYTES`` blocks of memory.
-    A bounded-step family is up-closed, as an added member only splits a
-    step, so C is the family; other inputs can reach every orbit, about
-    2**n / n (699,252 at n = 24).
+    The masks must be closed under adding a member, as a bounded-step family
+    is; other lists raise ValueError, naming a mask and a bit that leave
+    them.  The inputs above an orbit o, Up(o), are those in o and Up(o + y)
+    for each y outside o: o is below o + y, and if a rotation r of o is a
+    proper subset of masks[j], a bit of masks[j] outside r, rotated back, is
+    a y with o + y below masks[j].  So Up is filled as bitsets of
+    ceil(K / 64) words over the C <= K input orbits, one size at a time from
+    the full mask down, keeping only the size above, and each input's row is
+    its orbit's bitset, in C * n * K / 64 words of work and, beside the
+    result, K * (n + 1) keys, two sizes' bitsets, C * n parents and
+    ``_ORDER_BLOCK_BYTES`` blocks of memory.
     """
     masks = np.asarray(masks).astype(np.min_scalar_type((1 << n) - 1))
     count, words = masks.size, -(-masks.size // 64)
-    starts, row, links, parent = _up_closure(masks, n)
+    starts, row, links, parent = _orbit_parents(masks, n)
     by_row = row.argsort()
     bounds = np.searchsorted(row[by_row], starts).tolist()
     out, above = np.empty((count, words), "<u8"), np.zeros((0, words), "<u8")

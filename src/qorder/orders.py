@@ -212,13 +212,17 @@ class GroupAction:
 
 
 def _integers(values, rule: str) -> np.ndarray:
-    """``values`` as an intp array: integers, and integral floats such as
-    1.0.  Anything else, strings included, raises ValueError with the
-    message ``rule, got ...``."""
+    """``values`` as an intp array: integers below 2**63 in magnitude, and
+    integral floats such as 1.0.  Anything else, strings included, raises
+    ValueError: ``rule below 2**63 in magnitude, got N`` or ``rule, got ...``."""
     try:
         array = np.asarray(values)
     except ValueError:  # rows of different lengths
         raise ValueError(f"{rule}, got rows of different lengths") from None
+    if array.dtype.kind in "fuO":  # what numpy makes of lists with an integer past int64
+        for x in np.asarray(values, dtype=object).ravel().tolist():
+            if isinstance(x, numbers.Integral) and not -(2**63) <= x < 2**63:
+                raise ValueError(f"{rule} below 2**63 in magnitude, got {x}")
     if array.dtype.kind == "f":
         whole = (np.trunc(array) == array) & (np.abs(array) < 2.0**63)
         if not whole.all():
@@ -232,9 +236,7 @@ def _integers(values, rule: str) -> np.ndarray:
 
 
 def _integer(value, rule: str) -> int:
-    """One integer, by the rule of :func:`_integers`, below 2**63 in magnitude."""
-    if isinstance(value, numbers.Integral) and not -(2**63) <= value < 2**63:
-        raise ValueError(f"{rule} below 2**63 in magnitude, got {value}")
+    """One integer, by the rule of :func:`_integers`."""
     array = _integers(value, rule)
     if array.ndim:
         raise ValueError(f"{rule}, got an array of shape {array.shape}")

@@ -1,10 +1,12 @@
 """Reference forms of the set-class enumeration's fast paths.
 
 The orbit kernel as an int64 loop with a temporary per rotation over all 2**n
-masks, whose fixed points are the orbits' least masks; the subset
-order as the dense test of every rotation of every pair of masks; and the
-bounded-step family as a filter over every class of Z_N: canonicalise all
-classes, then keep those whose every adjacent step is at most the bound.
+masks, whose fixed points are the orbits' least masks; the subset order as
+the dense test of every rotation of every pair of masks, and its
+precondition as a search upwards from the masks, one added bit at a time;
+and the bounded-step family as a filter over every class of Z_N:
+canonicalise all classes, then keep those whose every adjacent step is at
+most the bound.
 """
 
 import numpy as np
@@ -12,9 +14,9 @@ import numpy as np
 from qorder.setclass import span_profile
 
 
-def int64_canonical_masks(n):
-    """Minimum over the n cyclic bit-rotations, for every mask < 2**n, in int64."""
-    masks = np.arange(1 << n, dtype=np.int64)
+def least_rotations(masks, n):
+    """Minimum over the n cyclic bit-rotations of each n-bit mask, in int64."""
+    masks = np.asarray(masks, dtype=np.int64)
     full = np.int64((1 << n) - 1)
     best = masks.copy()
     for t in range(1, n):
@@ -26,7 +28,7 @@ def int64_canonical_masks(n):
 def int64_orbit_minima(n):
     """The masks < 2**n equal to their own least rotation, ascending: the least
     mask of each transposition orbit."""
-    best = int64_canonical_masks(n)
+    best = least_rotations(np.arange(1 << n), n)
     return np.flatnonzero(best == np.arange(best.size))
 
 
@@ -59,6 +61,24 @@ def dense_subset_leq_matrix(masks, n):
             np.bitwise_and(rots[t, rows, None], outside, out=buf)
             block |= buf == 0
     return out
+
+
+def up_closure(masks, n):
+    """``masks`` followed by the least mask of each orbit above them that no
+    mask of ``masks`` is in, ascending: as long as ``masks`` exactly when
+    ``masks`` is closed under adding a member.
+
+    Breadth first: each level adds every bit to every orbit the level before
+    found, and keeps the least rotations not seen yet.
+    """
+    seen = set(least_rotations(masks, n).tolist())
+    level, added = sorted(seen), []
+    while level:
+        above = np.array(level, dtype=np.int64)[:, None] | (1 << np.arange(n, dtype=np.int64))
+        level = sorted(set(least_rotations(above.ravel(), n).tolist()) - seen)
+        seen.update(level)
+        added += level
+    return [*masks, *sorted(added)]
 
 
 def filtered_family(classes, edo, max_second):

@@ -304,6 +304,22 @@ class TestErrorPaths:
         assert result.output.startswith("error:")
         assert "expected integers" in result.output
 
+    @pytest.mark.parametrize("kind, payload, big", [
+        ("relation", {"size": 4, "pairs": [[0, 2**63]]}, 2**63),
+        ("relation", {"size": 4, "pairs": [[2**64, 0]]}, 2**64),
+        ("relation", {"size": 2**63, "pairs": []}, 2**63),
+        ("action", {"size": 2, "perms": [[0, 1], [-(2**63) - 1, 0]]}, -(2**63) - 1),
+    ])
+    def test_order_check_names_integers_past_int64(self, runner, tmp_path, kind, payload, big):
+        paths = {"relation": DATA / "relation_example.json", "action": DATA / "action_example.json"}
+        paths[kind] = tmp_path / "big.json"
+        paths[kind].write_text(json.dumps(payload))
+        result = runner.invoke(main, ["order", "check", "--relation", str(paths["relation"]),
+                                      "--action", str(paths["action"])])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
+        assert result.output.endswith(f"expected integers below 2**63 in magnitude, got {big}\n")
+
     def test_counterexample_n_above_harmonic_cap_exit_one(self, runner):
         result = runner.invoke(main, ["timbre", "counterexample", "--n", "100000"])
         assert result.exit_code == 1

@@ -8,6 +8,8 @@ every rotation in ``reference_setclass``.
 """
 
 import itertools
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from qorder.simplex import LPStandardForm, LPStatus, equality_form, iteration_bu
 from qorder.timbre import TimbralVector
 
 from reference_design import stage_two_lp
-from reference_setclass import dense_subset_leq_matrix, int64_orbit_minima
+from reference_setclass import dense_subset_leq_matrix, int64_orbit_minima, least_rotations, up_closure
 from reference_simplex import loop_equality_form, loop_simplex_solve
 from structures import class_leq, random_simplex, unpacked_rows
 
@@ -207,19 +209,35 @@ BENCHMARK_FAMILIES = [(e, s) for e, top in {12: 12, 13: 13, 14: 14, 15: 15, 16: 
 
 @st.composite
 def mask_lists(draw):
-    """n of 1 to 24 and at most 64 n-bit masks, each missing at most 10 bits
-    so that few orbits lie above it: 0 for n up to 10, the full mask,
-    duplicates, rotations of an earlier mask, and lists not up-closed."""
+    """n of 1 to 24 and at most 32 n-bit masks, each missing at most 4 bits
+    so that their up-closure adds at most 32 * 2**4 orbits: 0 for n up to
+    4, the full mask, duplicates, rotations of an earlier mask, and lists
+    both closed and not closed under adding a member."""
     n = draw(st.integers(1, 24))
     full = (1 << n) - 1
-    holes = st.sets(st.integers(0, n - 1), max_size=10).map(lambda ys: full - sum(1 << y for y in ys))
+    holes = st.sets(st.integers(0, n - 1), max_size=4).map(lambda ys: full - sum(1 << y for y in ys))
     masks = []
-    for mask in draw(st.lists(holes, max_size=64)):
+    for mask in draw(st.lists(holes, max_size=32)):
         if masks and draw(st.booleans()):
             earlier, t = draw(st.sampled_from(masks)), draw(st.integers(0, n - 1))
             mask = ((earlier << t) | (earlier >> (n - t))) & full
         masks.append(mask)
     return n, masks
+
+
+def refused_unless_closed(masks, n):
+    """The up-closure of the list ``masks``.  When that is longer, the kernel
+    must refuse ``masks``, naming one of them and a bit outside it that
+    together are in no orbit of the list."""
+    closure = up_closure(masks, n)
+    if len(closure) > len(masks):
+        with pytest.raises(ValueError, match="not closed under adding a member") as refused:
+            _kernels.subset_leq_matrix(np.array(masks, dtype=np.int64), n)
+        named, y = re.search(r"\{([\d,]*)\} plus pitch class (\d+) leaves it$", str(refused.value)).groups()
+        mask, bit = sum(1 << int(x) for x in named.split(",") if x), 1 << int(y)
+        assert mask in masks and not mask & bit
+        assert least_rotations([mask | bit], n)[0] not in least_rotations(masks, n)
+    return closure
 
 
 def rotation_minimum(mask, n):
@@ -265,14 +283,32 @@ class TestBitmaskKernels:
     # 8/9, 16/17 and 24 straddle the uint8, uint16 and uint32 mask dtypes
     @pytest.mark.parametrize("n", (3, 7, 8, 9, 12, 16, 17, 24))
     def test_subset_leq_matrix_matches_class_leq(self, n):
+        # the full mask and 40 masks each missing 1 to 3 bits, then their up-closure
         rng = np.random.default_rng(19 + n)
-        edges = [0, (1 << n) - 1] + [1 << i for i in range(n)]
-        drawn = rng.integers(0, 1 << n, size=40)
-        masks = np.unique(np.concatenate([edges, drawn])).astype(np.int64)
-        sets = [PitchClassSet.from_mask(n, int(m)) for m in masks]
-        table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), len(masks))
+        full = (1 << n) - 1
+        holes = np.bitwise_or.reduce(1 << rng.integers(0, n, size=(40, 3)), axis=1)
+        masks = refused_unless_closed([full, *(full & ~holes).tolist()], n)
+        sets = [PitchClassSet.from_mask(n, m) for m in masks]
+        table = unpacked_rows(_kernels.subset_leq_matrix(np.array(masks, dtype=np.int64), n), len(masks))
         expected = [[class_leq(x, y) for y in sets] for x in sets]
         assert table.tolist() == expected
+
+    def test_subset_leq_matrix_refuses_early(self):
+        # the empty and full masks and 10 random ones at n = 24: closing them
+        # would visit all 699,252 orbits
+        n = 24
+        masks = [0, (1 << n) - 1, *np.random.default_rng(0).integers(0, 1 << n, size=10).tolist()]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=r"^family not closed under adding a member: "
+                                                 r"\{\} plus pitch class 0 leaves it$"):
+                _kernels.subset_leq_matrix(np.array(masks, dtype=np.int64), n)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1 << 20, (elapsed, peak)
 
     def test_subset_leq_matrix_peak_memory(self):
         # the benchmark's largest families, K = 3608 and 3244
@@ -291,11 +327,13 @@ class TestBitmaskKernels:
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_subset_leq_matrix_every_short_list(self, n):
+        # each list is refused, or closed under adding a member and answered
         for k in range(4):
             for masks in itertools.product(range(1 << n), repeat=k):
-                masks = np.array(masks, dtype=np.int64)
-                table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), k)
-                assert np.array_equal(table, dense_subset_leq_matrix(masks, n)), masks
+                if len(refused_unless_closed(list(masks), n)) == k:
+                    masks = np.array(masks, dtype=np.int64)
+                    table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), k)
+                    assert np.array_equal(table, dense_subset_leq_matrix(masks, n)), masks
 
     @pytest.mark.parametrize("n", (1, 8, 9, 24))
     def test_subset_leq_matrix_no_masks(self, n):
@@ -303,9 +341,12 @@ class TestBitmaskKernels:
         assert rows.shape == (0, 0) and rows.dtype == np.dtype("<u8")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(mask_lists())
-    def test_subset_leq_matrix_matches_dense(self, drawn):
+    @given(mask_lists(), st.randoms(use_true_random=False))
+    def test_subset_leq_matrix_matches_dense(self, drawn, random):
+        # the drawn list is refused unless closed; its closure, in any order, is answered
         n, masks = drawn
+        masks = refused_unless_closed(masks, n)
+        random.shuffle(masks)
         masks = np.array(masks, dtype=np.int64)
         table = unpacked_rows(_kernels.subset_leq_matrix(masks, n), len(masks))
         assert np.array_equal(table, dense_subset_leq_matrix(masks, n))

@@ -102,6 +102,14 @@ class TestPitchClassSet:
         with pytest.raises(ValueError, match="pitch classes must be integers"):
             class_from_json({"edo": 12, "members": [member, 7]})
 
+    @pytest.mark.parametrize("members, big", [((0, 2**64), 2**64), ((0, 2**63), 2**63),
+                                              ((2**63,), 2**63), ((-(2**63) - 1, 3), -(2**63) - 1)])
+    def test_names_integers_past_int64(self, members, big):
+        # numpy reads these as float64, an object or a wrapped uint64
+        message = f"pitch classes must be integers below 2**63 in magnitude, got {big}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PitchClassSet(12, members)
+
     @pytest.mark.parametrize("edo", [12.5, 12.7, float("inf"), float("nan"), None])
     def test_rejects_non_integer_edo(self, edo):
         with pytest.raises(ValueError, match="edo must be an integer"):
@@ -389,6 +397,17 @@ class TestClassLeq:
         monkeypatch.setattr(_kernels, "subset_leq_matrix", no_allocation)
         with pytest.raises(ValueError, match=f"limit of {len(classes) - 1}"):
             subset_order(classes)
+
+    def test_subset_order_refuses_a_family_not_closed(self):
+        # without its full class, Z_12 is refused at its one class of 11 members
+        message = "family not closed under adding a member: {0,1,2,3,4,5,6,7,8,9,10} plus pitch class 11"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} leaves it$"):
+            subset_order([c for c in enumerate_set_classes(12) if c.cardinality < 12])
+        # the major triad alone, named by its representative
+        with pytest.raises(ValueError, match=re.escape("{0,3,8} plus pitch class 1 leaves it")):
+            subset_order([cls(12, (0, 4, 7))])
+        # without the empty class, the family is still closed
+        assert subset_order(enumerate_set_classes(12)[1:]).size == 351
 
     @pytest.mark.parametrize("edo, max_second", [*((edo, None) for edo in range(1, 13)), (24, 2)])
     def test_order_masks_are_the_class_masks(self, monkeypatch, edo, max_second):
