@@ -12,6 +12,7 @@ genuine orders.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -213,24 +214,33 @@ class GroupAction:
 
 def _integers(values, rule: str) -> np.ndarray:
     """``values`` as an intp array: integers below 2**63 in magnitude, and
-    integral floats such as 1.0.  Anything else, strings included, raises
-    ValueError: ``rule below 2**63 in magnitude, got N`` or ``rule, got ...``."""
+    integral floats such as 1.0.  Anything else, strings and booleans
+    included, raises ValueError: ``rule below 2**63 in magnitude, got N`` or
+    ``rule, got ...``."""
     try:
         array = np.asarray(values)
     except ValueError:  # rows of different lengths
         raise ValueError(f"{rule}, got rows of different lengths") from None
-    if array.dtype.kind in "fuO":  # what numpy makes of lists with an integer past int64
+    kind = array.dtype.kind
+    if kind in "fuO":  # what numpy makes of lists with an integer past int64
         for x in np.asarray(values, dtype=object).ravel().tolist():
             if isinstance(x, numbers.Integral) and not -(2**63) <= x < 2**63:
                 raise ValueError(f"{rule} below 2**63 in magnitude, got {x}")
-    if array.dtype.kind == "f":
+    if kind in "fi" and array.ndim and not isinstance(values, np.ndarray):
+        # numpy reads a list that mixes booleans with numbers as numbers
+        items = values
+        for _ in range(array.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        if not {bool, np.bool_}.isdisjoint(map(type, items)):
+            kind = "b"
+    if kind == "f":
         whole = (np.trunc(array) == array) & (np.abs(array) < 2.0**63)
         if not whole.all():
             raise ValueError(f"{rule}, got {array[~whole][0]}")
-    elif array.dtype.kind not in "biu":
+    elif kind not in "iu":
         if array.ndim == 0:
             raise ValueError(f"{rule}, got {values!r}")
-        got = "strings" if array.dtype.kind in "US" else f"{array.dtype} values"
+        got = {"U": "strings", "S": "strings", "b": "booleans"}.get(kind, f"{array.dtype} values")
         raise ValueError(f"{rule}, got {got}")
     return array.astype(np.intp, copy=False)
 

